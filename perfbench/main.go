@@ -135,7 +135,7 @@ func run(cfg config, out io.Writer) (*result, error) {
 	}
 	report(out, "inputs", map[string]any{"seconds": inputs, "graphs": w.describe()})
 
-	plain, err := runPhase(cfg, sz, w, filepath.Join(state, "plain"), false)
+	plain, err := runPhase(cfg, w, filepath.Join(state, "plain"), false)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +147,7 @@ func run(cfg config, out io.Writer) (*result, error) {
 		Metrics:   endToEnd(plain),
 	}
 	if cfg.trace {
-		traced, err := runPhase(cfg, sz, w, filepath.Join(state, "traced"), true)
+		traced, err := runPhase(cfg, w, filepath.Join(state, "traced"), true)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/metrics"
 	"sort"
 	"strconv"
@@ -24,17 +25,19 @@ type sizes struct {
 	genK                int // every workload's POST /v1/generate
 	preload             int // serve-mix receipts on the long-lived account
 	warm                int // serve-mix questions answered in setup
-	setups              int // set-ups per run; setup_s is their median
-	minOps, maxOps      int // fit sessions per run
+	// Set-ups per run; setup_s is their median. A fit workload's
+	// set-up takes about a millisecond, so it is repeated more often.
+	setups, fitSetups int
+	minOps, maxOps    int // fit sessions per run
 }
 
 func sizesFor(tiny bool) sizes {
 	if tiny {
 		return sizes{denseK: 9, denseTarget: 1 << 11, sparseK: 10, mixK: 8, mixDatasets: 4,
-			genK: 8, preload: 20, warm: 6, setups: 2, minOps: 2, maxOps: 1000}
+			genK: 8, preload: 20, warm: 6, setups: 2, fitSetups: 3, minOps: 2, maxOps: 1000}
 	}
 	return sizes{denseK: 15, denseTarget: 1 << 19, sparseK: 18, mixK: 13, mixDatasets: 4,
-		genK: 13, preload: 1000, warm: 6, setups: 9, minOps: 3, maxOps: 40}
+		genK: 13, preload: 1000, warm: 6, setups: 9, fitSetups: 31, minOps: 3, maxOps: 40}
 }
 
 // Latency classes of the requests the workloads send.
@@ -66,6 +69,11 @@ type recorder struct {
 	busy      time.Duration // measured wall time
 	ops       int           // operations inside measured windows
 	alloc, gc uint64        // runtime deltas inside measured windows
+	// open is the start of the measured window in progress, zero
+	// outside one; ends holds the measured time, in seconds, at which
+	// each operation inside a window completed.
+	open time.Time
+	ends []float64
 }
 
 func newRecorder() *recorder { return &recorder{lat: map[string][]float64{}} }
@@ -102,6 +110,9 @@ func (r *recorder) op(fn func() error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.attempted++
+	if !r.open.IsZero() {
+		r.ends = append(r.ends, (r.busy + time.Since(r.open)).Seconds())
+	}
 	if err != nil {
 		r.failed++
 		if len(r.errs) < 10 {
@@ -117,12 +128,14 @@ func (r *recorder) window(fn func()) {
 	a0, g0 := runtimeCounts()
 	r.mu.Lock()
 	ops0 := r.attempted
-	r.mu.Unlock()
 	t0 := time.Now()
+	r.open = t0
+	r.mu.Unlock()
 	fn()
 	d := time.Since(t0)
 	a1, g1 := runtimeCounts()
 	r.mu.Lock()
+	r.open = time.Time{}
 	r.busy += d
 	r.ops += r.attempted - ops0
 	r.alloc += a1 - a0
@@ -151,20 +164,21 @@ func runtimeCounts() (alloc, gc uint64) {
 type phase struct {
 	traced   bool
 	rec      *recorder
+	chunk    int // completions per chunk of opsPerSecond
 	setups   []float64
 	counters map[string]float64 // /metrics counter deltas over the window
 	env      *env               // the measured server, still open
 }
 
-// runPhase sets the server up sz.setups times on fresh state
+// runPhase sets the server up w.setupRuns() times on fresh state
 // directories, measures the workload on the last one, and checks the
 // final state. The returned phase's env is still open.
-func runPhase(cfg config, sz sizes, w workload, dir string, traced bool) (*phase, error) {
-	ph := &phase{traced: traced, rec: newRecorder()}
+func runPhase(cfg config, w workload, dir string, traced bool) (*phase, error) {
+	ph := &phase{traced: traced, rec: newRecorder(), chunk: w.chunk()}
 	// Flush what earlier runs left dirty, so that its writeback does not
 	// land in this run's fsyncs.
 	syscall.Sync()
-	for i := 0; i < sz.setups; i++ {
+	for i := 0; i < w.setupRuns(); i++ {
 		if ph.env != nil {
 			ph.env.close()
 		}
@@ -185,6 +199,9 @@ func runPhase(cfg config, sz sizes, w workload, dir string, traced bool) (*phase
 		ph.rec.mergeSetup(srec)
 	}
 	syscall.Sync()
+	// Start the window from a collected heap, so that garbage from the
+	// set-ups is not charged to it.
+	runtime.GC()
 	before, err := ph.env.counters()
 	if err != nil {
 		ph.env.close()
@@ -208,7 +225,31 @@ func runPhase(cfg config, sz sizes, w workload, dir string, traced bool) (*phase
 	return ph, nil
 }
 
-func (ph *phase) opsPerSecond() float64 { return float64(ph.rec.ops) / ph.rec.busy.Seconds() }
+// opsPerSecond is the median throughput over chunks of ph.chunk
+// consecutive completions, each chunk over the measured time it spans.
+// It is a median so that a few seconds of load from other tenants of
+// the host, during one part of a run, do not move it.
+func (ph *phase) opsPerSecond() float64 {
+	if rates := ph.chunkRates(); len(rates) > 0 {
+		return median(rates)
+	}
+	return float64(ph.rec.ops) / ph.rec.busy.Seconds()
+}
+
+// chunkRates splits the measured time at every ph.chunk-th completion
+// and gives each piece's operations per second; a last piece with fewer
+// completions is left out.
+func (ph *phase) chunkRates() []float64 {
+	ends := append([]float64(nil), ph.rec.ends...)
+	sort.Float64s(ends)
+	var rates []float64
+	prev := 0.0
+	for k := ph.chunk; k <= len(ends); k += ph.chunk {
+		rates = append(rates, float64(ph.chunk)/(ends[k-1]-prev))
+		prev = ends[k-1]
+	}
+	return rates
+}
 
 // endToEnd derives the metrics a user of the server sees.
 func endToEnd(ph *phase) map[string]metric {
@@ -247,6 +288,7 @@ func (ph *phase) summary() map[string]any {
 		"ops_per_s": ph.opsPerSecond(), "attempted": r.attempted, "failed": r.failed,
 		"error_frac": float64(r.failed) / float64(r.attempted), "errors": r.errs,
 		"releases_checked": r.releases, "latency": lat,
+		"ops_per_s_overall": float64(r.ops) / r.busy.Seconds(), "chunk_ops_per_s": ph.chunkRates(),
 	}
 }
 

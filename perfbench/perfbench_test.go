@@ -173,3 +173,46 @@ func TestChecksRejectCorruptedRelease(t *testing.T) {
 		t.Error("a tampered cached release passed the repeat check")
 	}
 }
+
+// TestMixScheduleIsExact checks that every block of the serve-mix
+// schedule holds exactly the mix shares, whatever the seed, and that
+// operation 0 is a new question.
+func TestMixScheduleIsExact(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 99} {
+		w := &mixWorkload{cfg: config{seed: seed}}
+		if u := w.slot(0); u >= shareNew {
+			t.Errorf("seed %d: operation 0 has slot %d, not a new question", seed, u)
+		}
+		orders := map[[mixBlock]uint64]bool{}
+		for b := uint64(0); b < 50; b++ {
+			var order [mixBlock]uint64
+			counts := map[string]int{}
+			for j := uint64(0); j < mixBlock; j++ {
+				u := w.slot(b*mixBlock + j)
+				order[j] = u
+				switch {
+				case u < shareNew:
+					counts["new"]++
+				case u < shareNew+shareRepeat:
+					counts["repeat"]++
+				case u < shareNew+shareRepeat+shareRead:
+					counts["read"]++
+				case u < shareNew+shareRepeat+shareRead+shareGenerate:
+					counts["generate"]++
+				default:
+					counts["refused"]++
+				}
+			}
+			orders[order] = true
+			want := map[string]int{"new": 8, "repeat": 6, "read": 4, "generate": 1, "refused": 1}
+			for k, n := range want {
+				if counts[k] != n {
+					t.Fatalf("seed %d block %d: %d %s operations, want %d", seed, b, counts[k], k, n)
+				}
+			}
+		}
+		if len(orders) < 40 {
+			t.Errorf("seed %d: only %d distinct block orders in 50 blocks", seed, len(orders))
+		}
+	}
+}

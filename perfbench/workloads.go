@@ -31,6 +31,11 @@ type workload interface {
 	setup(e *env, rec *recorder) error
 	measure(e *env, rec *recorder, seconds float64)
 	verify(e *env) error
+	// setupRuns is the number of set-ups per run.
+	setupRuns() int
+	// chunk is the number of consecutive completions that each rate
+	// ops_per_s takes the median of spans.
+	chunk() int
 	// layerInput is the graph the per-layer calls run on, a question on
 	// it that the release cache has answered, and the direct reference
 	// release of its first question.
@@ -197,6 +202,12 @@ func (w *fitWorkload) verify(e *env) error {
 	return nil
 }
 
+func (w *fitWorkload) setupRuns() int { return w.sz.fitSetups }
+
+// chunk is one session: ops_per_s is sessions per second at the median
+// session.
+func (w *fitWorkload) chunk() int { return 1 }
+
 func (w *fitWorkload) layerInput() (*input, question, *core.Result) {
 	return w.first, question{ds: w.first.id, seed: w.first.seed, k: w.model.K}, w.ref
 }
@@ -233,6 +244,12 @@ const (
 	shareGenerate = 5  // POST /v1/generate with store
 	// The remaining 5: new question on the exhausted dataset, refused.
 )
+
+// mixBlock is the length of one block of the schedule. Every block of
+// mixBlock consecutive operations holds exactly the shares above, in an
+// order drawn from the seed, so the mix a run realizes, and with it its
+// cost per operation, is the same for every seed.
+const mixBlock = 20
 
 var (
 	ampleBudget = dp.Budget{Eps: 1e6, Delta: 0.5}
@@ -342,14 +359,40 @@ func (w *mixWorkload) measure(e *env, rec *recorder, seconds float64) {
 	})
 }
 
+// slot maps operation i to a share in percent, 0 ≤ u < 100, that
+// the op switch reads like a uniform draw: operation i's place in a
+// seed-shuffled block holding each share's exact count of slots.
+// Operation 0 is a new question.
+func (w *mixWorkload) slot(i uint64) uint64 {
+	var block [mixBlock]uint64
+	for j := range block {
+		block[j] = uint64(j) * 100 / mixBlock
+	}
+	r := mix(w.cfg.seed, 7<<40+i/mixBlock)
+	for j := mixBlock - 1; j > 0; j-- {
+		r = mix(r, uint64(j))
+		k := r % uint64(j+1)
+		block[j], block[k] = block[k], block[j]
+	}
+	if i < mixBlock {
+		for j := range block {
+			if block[j] < shareNew {
+				block[0], block[j] = block[j], block[0]
+				break
+			}
+		}
+	}
+	return block[i%mixBlock]
+}
+
 // op runs operation i of the mix. Operation 0 is always a new question
 // on dataset 0 whose release must equal the direct reference.
 func (w *mixWorkload) op(e *env, rec *recorder, i uint64) error {
 	h := mix(w.cfg.seed, 3<<40+i)
 	pick := h >> 8
 	normal := w.inputs[:len(w.inputs)-1]
-	switch u := h % 100; {
-	case i == 0 || u < shareNew:
+	switch u := w.slot(i); {
+	case u < shareNew:
 		ds, seed := normal[pick%uint64(len(normal))], mix(w.cfg.seed, 4<<40+i)
 		if i == 0 {
 			ds, seed = w.inputs[0], w.inputs[0].seed
@@ -414,6 +457,11 @@ func (w *mixWorkload) verify(e *env) error {
 	}
 	return nil
 }
+
+func (w *mixWorkload) setupRuns() int { return w.sz.setups }
+
+// chunk is two blocks of the schedule, about a second of a run.
+func (w *mixWorkload) chunk() int { return 2 * mixBlock }
 
 func (w *mixWorkload) layerInput() (*input, question, *core.Result) {
 	return w.inputs[0], w.warm[0].q, w.ref
