@@ -504,12 +504,32 @@ func BenchmarkSampleBallDropK14(b *testing.B) {
 	}
 }
 
+type namedGraph struct {
+	name string
+	g    *dpkron.Graph
+}
+
+// kernelGraphs are the inputs of the exact-kernel benchmarks: the K=12
+// exact sample, where there is little to prune, and the dense K=15
+// ball-drop graph at 2^19 edges of the fit-dense workload, where the
+// degree-ordered kernels pay.
+func kernelGraphs(b *testing.B) []namedGraph {
+	b.Helper()
+	dense := skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: 15}
+	return []namedGraph{
+		{"K=12", benchGraph(b, 12)},
+		{"K=15-dense", dense.SampleBallDropN(randx.New(1), 1<<19)},
+	}
+}
+
 func BenchmarkTriangleCount(b *testing.B) {
-	g := benchGraph(b, 12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats.Triangles(g)
+	for _, c := range kernelGraphs(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				stats.Triangles(c.g)
+			}
+		})
 	}
 }
 
@@ -524,11 +544,13 @@ func BenchmarkPrivateDegreeSequence(b *testing.B) {
 }
 
 func BenchmarkSmoothSensitivity(b *testing.B) {
-	g := benchGraph(b, 12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		smoothsens.Smooth(g, 0.01)
+	for _, c := range kernelGraphs(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				smoothsens.Smooth(c.g, 0.01)
+			}
+		})
 	}
 }
 

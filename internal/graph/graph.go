@@ -97,6 +97,35 @@ func (g *Graph) MaxDegree() int {
 	return maxd
 }
 
+// DegreeOrder returns the nodes sorted by degree descending, ties by
+// ascending id, and each node's position in that order (rank[order[i]]
+// = i). It is a stable O(n + d_max) counting sort, the shared first step
+// of the degree-ordered kernels in packages stats and smoothsens.
+func (g *Graph) DegreeOrder() (order, rank []int32) {
+	n := g.NumNodes()
+	// start[d] = number of nodes with degree > d, the first position of
+	// degree d in the descending order.
+	start := make([]int32, g.MaxDegree()+2)
+	for v := 0; v < n; v++ {
+		start[g.Degree(v)]++
+	}
+	var above int32
+	for d := len(start) - 1; d >= 0; d-- {
+		c := start[d]
+		start[d] = above
+		above += c
+	}
+	order = make([]int32, n)
+	rank = make([]int32, n)
+	for v := 0; v < n; v++ {
+		d := g.Degree(v)
+		order[start[d]] = int32(v)
+		rank[v] = start[d]
+		start[d]++
+	}
+	return order, rank
+}
+
 // ForEachEdge calls fn once per undirected edge with u < v.
 func (g *Graph) ForEachEdge(fn func(u, v int)) {
 	for u := 0; u < g.NumNodes(); u++ {

@@ -157,6 +157,21 @@ func TestStarPathCycle(t *testing.T) {
 	}
 }
 
+func TestDegreeOrder(t *testing.T) {
+	// Path 0-1-2-3 plus the pendant edge 1-4: degrees 1,3,2,1,1.
+	g := FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {1, 4}})
+	order, rank := g.DegreeOrder()
+	want := []int32{1, 2, 0, 3, 4} // degree descending, ties by id
+	for i, v := range want {
+		if order[i] != v || rank[v] != int32(i) {
+			t.Fatalf("DegreeOrder = %v, %v; want order %v", order, rank, want)
+		}
+	}
+	if order, rank := Empty(0).DegreeOrder(); len(order) != 0 || len(rank) != 0 {
+		t.Fatal("empty graph has a non-empty degree order")
+	}
+}
+
 func TestBuilderReuse(t *testing.T) {
 	b := NewBuilder(3)
 	b.AddEdge(0, 1)

@@ -87,7 +87,14 @@ func (r *Rand) Laplace(scale float64) float64 {
 	}
 	// Inverse CDF on u ~ Uniform(-1/2, 1/2):
 	// x = -b * sgn(u) * ln(1 - 2|u|).
-	u := r.src.Float64() - 0.5
+	// A uniform of exactly 0 would give u = −1/2 and ln(0) = −Inf, so it
+	// is redrawn, as in Geometric; the largest uniform, 1 − 2⁻⁵³, still
+	// gives a finite ln(2⁻⁵²).
+	f := r.src.Float64()
+	for f == 0 {
+		f = r.src.Float64()
+	}
+	u := f - 0.5
 	if u >= 0 {
 		return -scale * math.Log(1-2*u)
 	}

@@ -2,6 +2,7 @@ package randx
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -63,6 +64,44 @@ func TestLaplaceZeroScale(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if x := r.Laplace(0); x != 0 {
 			t.Fatalf("Laplace(0) = %v, want 0", x)
+		}
+	}
+}
+
+// seqSource replays fixed 64-bit outputs and then repeats the last one.
+type seqSource []uint64
+
+func (s *seqSource) Uint64() uint64 {
+	v := (*s)[0]
+	if len(*s) > 1 {
+		*s = (*s)[1:]
+	}
+	return v
+}
+
+func fixedRand(outs ...uint64) *Rand {
+	s := seqSource(outs)
+	return &Rand{src: rand.New(&s)}
+}
+
+// TestLaplaceFiniteAtUniformEdges drives the inverse CDF with the
+// extreme uniforms Float64 can return: exactly 0 (redrawn, since it
+// maps to ln 0), the smallest positive 2⁻⁵³ and the largest 1 − 2⁻⁵³.
+// No draw may be ±Inf: a release is never non-finite.
+func TestLaplaceFiniteAtUniformEdges(t *testing.T) {
+	const top = 1<<53 - 1 // Float64() = 1 − 2⁻⁵³
+	lo := fixedRand(1).Laplace(2)
+	hi := fixedRand(top).Laplace(2)
+	want := 2 * 52 * math.Ln2 // −b·ln(2⁻⁵²)
+	if lo != -want || hi != want {
+		t.Fatalf("Laplace at u = 2⁻⁵³, 1 − 2⁻⁵³: %v, %v; want ∓%v", lo, hi, want)
+	}
+	if got := fixedRand(0, 0, top).Laplace(2); got != hi {
+		t.Fatalf("zero uniforms not redrawn: Laplace = %v, want %v", got, hi)
+	}
+	for _, u := range []uint64{0, 1, 1 << 52, top} {
+		if x := fixedRand(u, 1<<52).Laplace(1); math.IsInf(x, 0) || math.IsNaN(x) {
+			t.Fatalf("Laplace with first uniform %d/2⁵³ = %v", u, x)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dpkron/internal/accountant"
+	"dpkron/internal/core"
 	"dpkron/internal/dataset"
 	"dpkron/internal/dp"
 	"dpkron/internal/graph"
@@ -64,6 +65,24 @@ func stripCacheMarkers(result map[string]any) string {
 // land, exactly one job may execute, no caller may be refused, and
 // every caller must end up with the same release bytes. Run under
 // -race in CI.
+// TestPrivateFitResultCopiesResult: the payload a finished job keeps
+// must not point into the core.Result, which would keep the run's
+// private degree sequence alive for the whole job history.
+func TestPrivateFitResultCopiesResult(t *testing.T) {
+	res := &core.Result{DegreeSeq: make([]float64, 1<<10)}
+	res.Moment.Objective = 1.5
+	res.Privacy = dp.Budget{Eps: 0.2, Delta: 1e-6}
+	res.Receipt.Total = res.Privacy
+	fr := PrivateFitResult(res, "ds-x")
+	if fr.Objective == &res.Moment.Objective || fr.Privacy == &res.Privacy ||
+		fr.Receipt == &res.Receipt || fr.Spent == &res.Receipt.Total {
+		t.Fatal("PrivateFitResult aliases the core.Result")
+	}
+	if *fr.Objective != 1.5 || *fr.Privacy != res.Privacy || *fr.Spent != res.Privacy || fr.Receipt.Total != res.Privacy {
+		t.Fatalf("PrivateFitResult values differ: %+v", fr)
+	}
+}
+
 func TestServerSingleFlightRace(t *testing.T) {
 	led, _, ts := newCacheServer(t, nil)
 

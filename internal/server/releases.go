@@ -28,16 +28,21 @@ type CachedFitResult struct {
 // API's result payload — the same shape the release cache persists,
 // so a CLI fit and a server fit memoize interchangeably. Remaining is
 // left unset; the server's cold path fills it after the ledger debit.
+//
+// The result points at copies, never into res: a pointer into res would
+// keep all of it alive, private degree sequence (8 bytes a node)
+// included, for as long as the job history retains the result.
 func PrivateFitResult(res *core.Result, dataset string) FitResult {
+	objective, privacy, receipt := res.Moment.Objective, res.Privacy, res.Receipt
 	return FitResult{
 		Method:    "private",
 		Initiator: InitiatorJSON{res.Init.A, res.Init.B, res.Init.C},
 		K:         res.K,
-		Objective: &res.Moment.Objective,
+		Objective: &objective,
 		Features:  featuresJSON(res.Features),
-		Privacy:   &res.Privacy,
-		Spent:     &res.Receipt.Total,
-		Receipt:   &res.Receipt,
+		Privacy:   &privacy,
+		Spent:     &receipt.Total,
+		Receipt:   &receipt,
 		Dataset:   dataset,
 	}
 }

@@ -18,6 +18,8 @@ package smoothsens
 import (
 	"fmt"
 	"math"
+	"sort"
+	"sync/atomic"
 
 	"dpkron/internal/accountant"
 	"dpkron/internal/graph"
@@ -28,80 +30,111 @@ import (
 )
 
 // MaxCommonNeighbors returns max over node pairs u ≠ v of |N(u) ∩ N(v)|,
-// the local sensitivity of the triangle count. It runs in O(Σ_w d_w²)
-// time and O(n) memory per shard by accumulating two-hop counts per
-// source node, on all cores.
+// the local sensitivity of the triangle count, on all cores.
+//
+// The scan visits source nodes in degree-descending order and counts
+// two-hop paths u–w–v into an O(n) scratch array. Because
+// |N(u) ∩ N(v)| ≤ min(d(u), d(v)), it stops once d(u) ≤ best (the
+// largest count found so far) and skips every v with d(v) ≤ best or
+// already scanned as a source, so on graphs with a heavy degree tail
+// only the few pairs of high-degree nodes are counted. The result is
+// exact.
 func MaxCommonNeighbors(g *graph.Graph) int { return MaxCommonNeighborsWorkers(g, 0) }
 
-// MaxCommonNeighborsWorkers is MaxCommonNeighbors sharded over source
-// nodes on up to workers goroutines (<= 0 selects
-// runtime.GOMAXPROCS(0)). Each worker reuses one O(n) two-hop scratch
-// array across the shards it processes; the integer max-reduction is
-// identical for every worker count.
+// MaxCommonNeighborsWorkers is MaxCommonNeighbors sharded over runs of
+// the degree order on up to workers goroutines (<= 0 selects
+// runtime.GOMAXPROCS(0)). The workers share one atomic best, which only
+// sharpens the pruning: the maximum does not depend on the scan order,
+// so the result is identical for every worker count.
 func MaxCommonNeighborsWorkers(g *graph.Graph, workers int) int {
 	v, _ := MaxCommonNeighborsCtx(pipeline.New(nil, workers, nil), g)
 	return v
 }
 
+// mcnShardNodes is the number of consecutive degree-order positions per
+// shard of the max-common-neighbours scan. The work sits at the head of
+// the order, so shards are kept small enough to spread the few heavy
+// sources over the workers.
+const mcnShardNodes = 16
+
 // MaxCommonNeighborsCtx is MaxCommonNeighbors under a pipeline Run: the
-// two-hop scan checks the context between source blocks. A run that is
-// never cancelled computes the exact maximum; a cancelled run returns
-// run.Err().
+// scan checks the context between shards. A run that is never cancelled
+// computes the exact maximum; a cancelled run returns run.Err().
 func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
 	n := g.NumNodes()
 	if n < 2 {
 		return 0, run.Err()
 	}
+	order, rank := g.DegreeOrder()
+	off, adj := g.CSR()
+	deg := func(pos int) int32 {
+		u := order[pos]
+		return off[u+1] - off[u]
+	}
+	// above(b) is the number of nodes of degree > b: the positions that
+	// can still pair with a source to beat b.
+	above := func(b int32) int32 {
+		return int32(sort.Search(n, func(i int) bool { return deg(i) <= b }))
+	}
+	blocks := parallel.Blocks(n, (n+mcnShardNodes-1)/mcnShardNodes)
 	w := run.Workers()
-	blocks := parallel.Blocks(n, parallel.DefaultShards)
 	if w > len(blocks) {
 		w = len(blocks)
 	}
 	type scratch struct {
-		count   []int32
+		count   []int32 // two-hop counts, indexed by degree-order position
 		touched []int32
-		best    int
 	}
 	parts := make([]scratch, w)
-	for i := range parts {
-		parts[i] = scratch{count: make([]int32, n)}
-	}
+	var best atomic.Int32
 	err := parallel.RunIndexedCtx(run.Context(), w, len(blocks), func(worker, sh int) {
 		sc := &parts[worker]
-		count := sc.count
-		for u := blocks[sh].Lo; u < blocks[sh].Hi; u++ {
-			sc.touched = sc.touched[:0]
-			for _, w := range g.Neighbors(u) {
-				for _, v := range g.Neighbors(int(w)) {
-					if int(v) == u {
+		for p := blocks[sh].Lo; p < blocks[sh].Hi; p++ {
+			b := best.Load()
+			if deg(p) <= b {
+				return // every later source has degree <= b as well
+			}
+			if sc.count == nil {
+				sc.count = make([]int32, n)
+			}
+			// Candidates v sit at positions p < rank[v] < above(b): later
+			// in the order (an earlier v scanned the pair itself) and of
+			// degree > b. One unsigned compare tests the range.
+			lo, span := int32(p)+1, uint32(above(b)-int32(p)-1)
+			count, touched := sc.count, sc.touched[:0]
+			u := order[p]
+			for _, x := range adj[off[u]:off[u+1]] {
+				for _, v := range adj[off[x]:off[x+1]] {
+					r := rank[v]
+					if uint32(r-lo) >= span {
 						continue
 					}
-					if count[v] == 0 {
-						sc.touched = append(sc.touched, v)
+					if count[r] == 0 {
+						touched = append(touched, r)
 					}
-					count[v]++
+					count[r]++
 				}
 			}
-			for _, v := range sc.touched {
-				// Each unordered pair is seen from both sides; restricting
-				// to v > u halves the work without missing the max.
-				if int(v) > u && int(count[v]) > sc.best {
-					sc.best = int(count[v])
+			var local int32
+			for _, r := range touched {
+				if count[r] > local {
+					local = count[r]
 				}
-				count[v] = 0
+				count[r] = 0
+			}
+			sc.touched = touched
+			for {
+				cur := best.Load()
+				if local <= cur || best.CompareAndSwap(cur, local) {
+					break
+				}
 			}
 		}
 	})
 	if err != nil {
 		return 0, err
 	}
-	best := 0
-	for _, sc := range parts {
-		if sc.best > best {
-			best = sc.best
-		}
-	}
-	return best, nil
+	return int(best.Load()), nil
 }
 
 // LocalSensitivity returns LS_Δ(G) = MaxCommonNeighbors(g).
@@ -145,14 +178,22 @@ func SmoothCtx(run *pipeline.Run, g *graph.Graph, beta float64) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	return smoothFromLS(ls, n, beta), nil
+	return SmoothFromLS(ls, n, beta), nil
 }
 
-// smoothFromLS maximizes e^{−βs}·min(C+s, n−2) over integer s ≥ 0.
+// SmoothFromLS returns SS_β of a graph on n nodes whose local
+// sensitivity (MaxCommonNeighbors) is C, in closed form: the maximum
+// of e^{−βs}·min(C+s, n−2) over integer s ≥ 0, and 0 when n < 3.
+// SmoothCtx is the scan followed by this; a caller that already holds
+// C uses it to skip a second scan.
+//
 // The unconstrained maximizer of e^{−βs}(C+s) is s* = 1/β − C; the
 // objective is unimodal in s, so checking s = 0, ⌊s*⌋, ⌈s*⌉ and the cap
 // point suffices.
-func smoothFromLS(C, n int, beta float64) float64 {
+func SmoothFromLS(C, n int, beta float64) float64 {
+	if n < 3 {
+		return 0
+	}
 	capVal := float64(n - 2)
 	obj := func(s float64) float64 {
 		v := float64(C) + s

@@ -9,8 +9,10 @@
 // (Gleich–Owen's observation that the matching moments are sums of
 // per-vertex terms), so each has a Workers variant that shards the
 // vertex range across the parallel worker pool; the plain entry points
-// run on all cores. Counts are integers, so the parallel reductions are
-// exact and identical for every worker count.
+// run on all cores. The triangle count shards ranges of the
+// degree-descending order instead of the vertex range (see Triangles).
+// Counts are integers, so every parallel reduction, the triangle count
+// included, is exact and identical for every worker count.
 package stats
 
 import (
@@ -129,43 +131,84 @@ func TripinsCtx(run *pipeline.Run, g *graph.Graph) (int64, error) {
 	})
 }
 
-// Triangles returns the exact number of triangles in g using the
-// forward algorithm over sorted adjacency lists: every triangle
-// u < v < w is counted once at its smallest vertex pair.
+// Triangles returns the exact number of triangles in g on all cores,
+// by the degree-oriented forward algorithm: each edge is oriented
+// towards its endpoint that comes first in the degree-descending order
+// (graph.DegreeOrder), and every triangle is counted once, at its
+// last-ordered vertex u and middle vertex v, as a common element of the
+// out-lists of u and v. Out-degrees are then at most about √(2m), so
+// hubs no longer dominate the merge work.
 func Triangles(g *graph.Graph) int64 { return TrianglesWorkers(g, 0) }
 
-// TrianglesWorkers is Triangles sharded over vertex ranges: each shard
-// counts the triangles anchored at its smallest-vertex range, so shard
-// totals are disjoint and their sum is exact.
+// TrianglesWorkers is Triangles sharded over ranges of the degree
+// order: each shard counts the triangles whose last-ordered vertex lies
+// in its range, so shard totals are disjoint and their integer sum is
+// exact and identical for every worker count.
 func TrianglesWorkers(g *graph.Graph, workers int) int64 {
 	v, _ := TrianglesCtx(pipeline.New(nil, workers, nil), g)
 	return v
 }
 
-// TrianglesCtx is Triangles under a pipeline Run.
+// TrianglesCtx is Triangles under a pipeline Run: the count checks the
+// context between shards. A run that is never cancelled computes the
+// exact count; a cancelled run returns run.Err().
 func TrianglesCtx(run *pipeline.Run, g *graph.Graph) (int64, error) {
-	return parallel.SumInt64Ctx(run.Context(), run.Workers(), g.NumNodes(), func(lo, hi int) int64 {
+	n := g.NumNodes()
+	if n < 3 {
+		return 0, run.Err()
+	}
+	off, adj := orientByDegree(g)
+	return parallel.SumInt64Ctx(run.Context(), run.Workers(), n, func(lo, hi int) int64 {
 		var total int64
 		for u := lo; u < hi; u++ {
-			nu := g.Neighbors(u)
-			for i, v := range nu {
-				if int(v) <= u {
-					continue
-				}
-				// Count common neighbours w of u and v with w > v.
-				total += countCommonAbove(nu[i+1:], g.Neighbors(int(v)), v)
+			out := adj[off[u]:off[u+1]]
+			for i, v := range out {
+				// out[:i] holds u's out-neighbours ordered before v, the
+				// only candidates in v's out-list.
+				total += countCommon(out[:i], adj[off[v]:off[v+1]])
 			}
 		}
 		return total
 	})
 }
 
-// countCommonAbove counts elements present in both sorted lists a and b
-// that are strictly greater than lim. a is assumed already restricted to
-// values > lim by the caller slicing; b is scanned past lim first.
-func countCommonAbove(a, b []int32, lim int32) int64 {
-	j := sort.Search(len(b), func(i int) bool { return b[i] > lim })
-	b = b[j:]
+// orientByDegree returns the degree-oriented graph as a CSR over
+// degree-order positions: row r lists, ascending, the positions of the
+// neighbours of the node at position r that come before it in the
+// order. Each edge appears once. Filling the rows by scanning sources
+// in order keeps every row sorted without a sort.
+func orientByDegree(g *graph.Graph) (off, adj []int32) {
+	order, rank := g.DegreeOrder()
+	n := len(order)
+	off = make([]int32, n+1)
+	for r, u := range order {
+		for _, v := range g.Neighbors(int(u)) {
+			if rank[v] < int32(r) {
+				off[r+1]++
+			}
+		}
+	}
+	for r := 0; r < n; r++ {
+		off[r+1] += off[r]
+	}
+	adj = make([]int32, off[n])
+	// off[s] is row s's fill cursor; once filled it has advanced to the
+	// start of row s+1, so the offsets are shifted back by one after.
+	for r, u := range order {
+		for _, v := range g.Neighbors(int(u)) {
+			if s := rank[v]; s > int32(r) {
+				adj[off[s]] = int32(r)
+				off[s]++
+			}
+		}
+	}
+	copy(off[1:n], off[:n-1])
+	off[0] = 0
+	return off, adj
+}
+
+// countCommon counts the elements present in both sorted lists.
+func countCommon(a, b []int32) int64 {
 	var count int64
 	i, k := 0, 0
 	for i < len(a) && k < len(b) {
@@ -250,22 +293,7 @@ func forEachCommonAbove(a, b []int32, lim int32, fn func(int32)) {
 
 // CommonNeighbors returns |N(u) ∩ N(v)| for two distinct nodes.
 func CommonNeighbors(g *graph.Graph, u, v int) int {
-	a, b := g.Neighbors(u), g.Neighbors(v)
-	count := 0
-	i, k := 0, 0
-	for i < len(a) && k < len(b) {
-		switch {
-		case a[i] < b[k]:
-			i++
-		case a[i] > b[k]:
-			k++
-		default:
-			count++
-			i++
-			k++
-		}
-	}
-	return count
+	return int(countCommon(g.Neighbors(u), g.Neighbors(v)))
 }
 
 // LocalClustering returns the local clustering coefficient of every node:
