@@ -49,6 +49,7 @@ import (
 	"dpkron/internal/kronfit"
 	"dpkron/internal/kronmom"
 	"dpkron/internal/obs"
+	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 	"dpkron/internal/release"
 	"dpkron/internal/server"
@@ -73,7 +74,7 @@ func printResult(key, text string) {
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := experiments.Table1Options{Eps: 0.2, Delta: 0.01, Seed: 7}
-		rows, err := experiments.RunTable1(opts)
+		rows, err := experiments.RunTable1Ctx(nil, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func benchFigure(b *testing.B, dataset string, expectedRuns int) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure(d, experiments.FigureOptions{
+		res, err := experiments.RunFigureCtx(nil, d, experiments.FigureOptions{
 			Eps: 0.2, Delta: 0.01, Seed: 11, ExpectedRuns: expectedRuns,
 		})
 		if err != nil {
@@ -116,10 +117,13 @@ func BenchmarkEpsilonSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := d.Generate()
+	g, err := d.GenerateCtx(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.EpsilonSweep(g, d.K,
+		rows, err := experiments.EpsilonSweepCtx(nil, g, d.K,
 			[]float64{0.05, 0.1, 0.2, 0.5, 1, 2}, 0.01, 5, 3)
 		if err != nil {
 			b.Fatal(err)
@@ -130,7 +134,7 @@ func BenchmarkEpsilonSweep(b *testing.B) {
 
 func BenchmarkSmoothSensGrowth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SmoothSensGrowth(
+		rows, err := experiments.SmoothSensGrowthCtx(nil,
 			skg.Initiator{A: 0.99, B: 0.45, C: 0.25},
 			[]int{8, 9, 10, 11, 12, 13, 14}, 0.2, 0.01, 3)
 		if err != nil {
@@ -142,7 +146,7 @@ func BenchmarkSmoothSensGrowth(b *testing.B) {
 
 func BenchmarkDistNormAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.DistNormAblation(skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, 12, 21)
+		rows, err := experiments.DistNormAblationCtx(nil, skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, 12, 21)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +175,10 @@ func featureGraph(b *testing.B, k, edges int) *dpkron.Graph {
 		return g.(*dpkron.Graph)
 	}
 	m := skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: k}
-	g := m.SampleBallDropN(randx.New(99), edges)
+	g, err := m.SampleBallDropNCtx(nil, randx.New(99), edges)
+	if err != nil {
+		b.Fatal(err)
+	}
 	featureGraphCache.Store(key, g)
 	return g
 }
@@ -182,9 +189,9 @@ func BenchmarkSampleExact(b *testing.B) {
 		b.Run(fmt.Sprintf("k=16/workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g := m.SampleExactWorkers(randx.New(uint64(i)+1), workers)
-				if g.NumNodes() != 1<<16 {
-					b.Fatal("bad sample")
+				g, err := m.SampleExactCtx(pipeline.New(nil, workers, nil), randx.New(uint64(i)+1))
+				if err != nil || g.NumNodes() != 1<<16 {
+					b.Fatal("bad sample", err)
 				}
 			}
 		})
@@ -198,9 +205,9 @@ func BenchmarkSampleBallDrop(b *testing.B) {
 		b.Run(fmt.Sprintf("k=18/workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g := m.SampleBallDropNWorkers(randx.New(uint64(i)+1), target, workers)
-				if g.NumEdges() != target {
-					b.Fatalf("placed %d edges, want %d", g.NumEdges(), target)
+				g, err := m.SampleBallDropNCtx(pipeline.New(nil, workers, nil), randx.New(uint64(i)+1), target)
+				if err != nil || g.NumEdges() != target {
+					b.Fatalf("placed %d edges, want %d (%v)", g.NumEdges(), target, err)
 				}
 			}
 		})
@@ -215,22 +222,25 @@ func BenchmarkFeatures(b *testing.B) {
 		b.Run(fmt.Sprintf("k=17/workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				f := stats.FeaturesOfWorkers(g, workers)
-				if f.E == 0 {
-					b.Fatal("bad features")
+				f, err := stats.FeaturesOfCtx(pipeline.New(nil, workers, nil), g)
+				if err != nil || f.E == 0 {
+					b.Fatal("bad features", err)
 				}
 			}
 		})
 	}
 }
 
-// BenchmarkHopPlotANFWorkers measures sketch propagation at k=16.
-func BenchmarkHopPlotANFWorkers(b *testing.B) {
+// BenchmarkHopPlotANFScaling measures sketch propagation at k=16.
+func BenchmarkHopPlotANFScaling(b *testing.B) {
 	g := featureGraph(b, 16, 1<<20)
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("k=16/workers=%d", workers), func(b *testing.B) {
+			run := pipeline.New(nil, workers, nil)
 			for i := 0; i < b.N; i++ {
-				anf.HopPlot(g, anf.Options{Trials: 16, Rng: randx.New(5), Workers: workers})
+				if _, err := anf.HopPlotCtx(run, g, anf.Options{Trials: 16, Rng: randx.New(5)}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -278,17 +288,18 @@ func BenchmarkGraphBuild(b *testing.B) {
 }
 
 // BenchmarkKronFitMetropolis times one full gradient iteration of
-// kronfit.Fit — dominated by the Metropolis warmup/sample swaps plus the
+// kronfit.FitCtx — dominated by the Metropolis warmup/sample swaps plus the
 // per-edge gradient sums — on a single worker so the ratio tracks the
 // arithmetic kernels rather than parallel speedup.
 func BenchmarkKronFitMetropolis(b *testing.B) {
 	for _, cfg := range []struct{ k, edges int }{{12, 1 << 15}, {14, 1 << 17}} {
 		g := featureGraph(b, cfg.k, cfg.edges)
 		b.Run(fmt.Sprintf("K=%d", cfg.k), func(b *testing.B) {
+			run := pipeline.New(nil, 1, nil)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, err := kronfit.Fit(g, kronfit.Options{
-					K: cfg.k, Iters: 1, Rng: randx.New(uint64(i) + 1), Workers: 1,
+				_, err := kronfit.FitCtx(run, g, kronfit.Options{
+					K: cfg.k, Iters: 1, Rng: randx.New(uint64(i) + 1),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -298,7 +309,7 @@ func BenchmarkKronFitMetropolis(b *testing.B) {
 	}
 }
 
-// BenchmarkBallDropN times SampleBallDropNWorkers at fixed targets —
+// BenchmarkBallDropN times SampleBallDropNCtx at fixed targets —
 // drop generation plus duplicate elimination plus graph construction.
 func BenchmarkBallDropN(b *testing.B) {
 	for _, cfg := range []struct{ k, target int }{
@@ -308,9 +319,9 @@ func BenchmarkBallDropN(b *testing.B) {
 		b.Run(fmt.Sprintf("K=%d", cfg.k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g := m.SampleBallDropNWorkers(randx.New(uint64(i)+1), cfg.target, 0)
-				if g.NumEdges() != cfg.target {
-					b.Fatalf("placed %d edges, want %d", g.NumEdges(), cfg.target)
+				g, err := m.SampleBallDropNCtx(nil, randx.New(uint64(i)+1), cfg.target)
+				if err != nil || g.NumEdges() != cfg.target {
+					b.Fatalf("placed %d edges, want %d (%v)", g.NumEdges(), cfg.target, err)
 				}
 			}
 		})
@@ -319,21 +330,23 @@ func BenchmarkBallDropN(b *testing.B) {
 
 // --- Pipeline-overhead benchmarks (scripts/bench.sh → BENCH_3.json) ---
 //
-// Each pair runs the same workload through the historical blocking
-// entry point ("plain") and through its ...Ctx variant under a live,
+// Each pair runs the same workload through its one ...Ctx entry point,
+// once under a background run with no cancellation signal ("plain":
+// the pool skips its checks) and once under a live,
 // cancellable-but-never-cancelled context ("ctx") — the real
-// cancellation path, not the background fast path. PR 3's acceptance
-// bound is ctx within 2% of plain; scripts/bench.sh computes the
-// ratios into BENCH_3.json.
+// cancellation path. PR 3's acceptance bound is ctx within 2% of
+// plain; scripts/bench.sh computes the ratios into BENCH_3.json.
 
 func BenchmarkPipelineOverhead(b *testing.B) {
 	g := featureGraph(b, 16, 1<<20)
 	m := skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: 16}
 
 	b.Run("features-plain", func(b *testing.B) {
+		run := pipeline.New(nil, 1, nil)
 		for i := 0; i < b.N; i++ {
-			if f := stats.FeaturesOfWorkers(g, 1); f.E == 0 {
-				b.Fatal("bad features")
+			f, err := stats.FeaturesOfCtx(run, g)
+			if err != nil || f.E == 0 {
+				b.Fatal("bad features", err)
 			}
 		}
 	})
@@ -348,9 +361,11 @@ func BenchmarkPipelineOverhead(b *testing.B) {
 	})
 
 	b.Run("balldrop-plain", func(b *testing.B) {
+		run := pipeline.New(nil, 1, nil)
 		for i := 0; i < b.N; i++ {
-			if g := m.SampleBallDropNWorkers(randx.New(uint64(i)+1), 1<<19, 1); g.NumEdges() != 1<<19 {
-				b.Fatal("bad sample")
+			g, err := m.SampleBallDropNCtx(run, randx.New(uint64(i)+1), 1<<19)
+			if err != nil || g.NumEdges() != 1<<19 {
+				b.Fatal("bad sample", err)
 			}
 		}
 	})
@@ -366,8 +381,9 @@ func BenchmarkPipelineOverhead(b *testing.B) {
 
 	kg := featureGraph(b, 12, 1<<15)
 	b.Run("kronfit-plain", func(b *testing.B) {
+		run := pipeline.New(nil, 1, nil)
 		for i := 0; i < b.N; i++ {
-			if _, err := kronfit.Fit(kg, kronfit.Options{K: 12, Iters: 1, Rng: randx.New(uint64(i) + 1), Workers: 1}); err != nil {
+			if _, err := kronfit.FitCtx(run, kg, kronfit.Options{K: 12, Iters: 1, Rng: randx.New(uint64(i) + 1)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -384,14 +400,16 @@ func BenchmarkPipelineOverhead(b *testing.B) {
 
 // --- Mechanism-dispatch benchmarks (scripts/bench.sh → BENCH_4.json) ---
 //
-// Each pair runs one real release unit of the codebase directly
-// ("direct": the historical dp.Laplace*/smoothsens path) and through
-// the accounted mechanism handle ("accounted": charge recorded on a
-// live accountant, then the identical draws). The pair granularity is
-// the release the accountant actually meters — a whole degree-sequence
-// vector, a whole triangle release — because that is where PR 4's
+// The pair runs one whole degree-sequence-sized Laplace release
+// directly ("direct": the raw dp.LaplaceVec draw) and through the
+// accounted mechanism handle ("accounted": charge recorded on a live
+// accountant, then the identical draws). That release is where PR 4's
 // ≤ 2% dispatch-overhead bound applies; scripts/bench.sh computes the
-// ratios into BENCH_4.json's mechanism_dispatch section.
+// ratio into BENCH_4.json's mechanism_dispatch section. The
+// degree-sequence and triangle pairs were retired with the unaccounted
+// degseq.Private and smoothsens.PrivateTrianglesCtx paths they timed:
+// every production release is now accounted, so there is no direct leg
+// left to compare.
 
 func BenchmarkMechanismDispatch(b *testing.B) {
 	vals := make([]float64, 1<<12)
@@ -421,55 +439,6 @@ func BenchmarkMechanismDispatch(b *testing.B) {
 			}
 		}
 	})
-
-	dg := featureGraph(b, 12, 1<<15)
-	b.Run("degseq-k12-direct", func(b *testing.B) {
-		rng := randx.New(7)
-		for i := 0; i < b.N; i++ {
-			if out := degseq.Private(dg, 0.25, rng); len(out) != dg.NumNodes() {
-				b.Fatal("bad release")
-			}
-		}
-	})
-	b.Run("degseq-k12-accounted", func(b *testing.B) {
-		rng := randx.New(7)
-		acc := accountant.New(nil)
-		for i := 0; i < b.N; i++ {
-			out, err := degseq.PrivateAcc(acc, dg, 0.25, rng)
-			if err != nil || len(out) != dg.NumNodes() {
-				b.Fatal("bad release", err)
-			}
-		}
-	})
-
-	// Both triangle legs run under the same live Run so the pair
-	// isolates accounting overhead from the (separately benchmarked)
-	// pipeline overhead. A k=8 release (~300 µs: sensitivity scan +
-	// exact count + one draw) keeps each leg short enough that machine
-	// drift between the paired legs stays below the ratio being
-	// measured.
-	tg := featureGraph(b, 8, 1<<11)
-	b.Run("triangles-k8-direct", func(b *testing.B) {
-		rng := randx.New(9)
-		run := liveRun(b, 1)
-		for i := 0; i < b.N; i++ {
-			tri, err := smoothsens.PrivateTrianglesCtx(run, tg, 0.25, 0.01, rng)
-			if err != nil || tri.Exact == 0 {
-				b.Fatal("bad release", err)
-			}
-		}
-	})
-	b.Run("triangles-k8-accounted", func(b *testing.B) {
-		rng := randx.New(9)
-		acc := accountant.New(nil)
-		run := liveRun(b, 1)
-		for i := 0; i < b.N; i++ {
-			tri, err := smoothsens.PrivateTrianglesAccCtx(run, acc, tg, 0.25, 0.01, rng)
-			if err != nil || tri.Exact == 0 {
-				b.Fatal("bad release", err)
-			}
-		}
-	})
 }
 
 // --- Micro-benchmarks of the core kernels ---
@@ -477,7 +446,11 @@ func BenchmarkMechanismDispatch(b *testing.B) {
 func benchGraph(b *testing.B, k int) *dpkron.Graph {
 	b.Helper()
 	m := skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: k}
-	return m.SampleExact(randx.New(1))
+	g, err := m.SampleExactCtx(nil, randx.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
 }
 
 func BenchmarkSampleExactK11(b *testing.B) {
@@ -485,9 +458,9 @@ func BenchmarkSampleExactK11(b *testing.B) {
 	rng := randx.New(2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g := m.SampleExact(rng)
-		if g.NumNodes() != 2048 {
-			b.Fatal("bad sample")
+		g, err := m.SampleExactCtx(nil, rng)
+		if err != nil || g.NumNodes() != 2048 {
+			b.Fatal("bad sample", err)
 		}
 	}
 }
@@ -497,9 +470,9 @@ func BenchmarkSampleBallDropK14(b *testing.B) {
 	rng := randx.New(2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g := m.SampleBallDrop(rng)
-		if g.NumNodes() != 16384 {
-			b.Fatal("bad sample")
+		g, err := m.SampleBallDropCtx(nil, rng)
+		if err != nil || g.NumNodes() != 16384 {
+			b.Fatal("bad sample", err)
 		}
 	}
 }
@@ -516,10 +489,11 @@ type namedGraph struct {
 func kernelGraphs(b *testing.B) []namedGraph {
 	b.Helper()
 	dense := skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: 15}
-	return []namedGraph{
-		{"K=12", benchGraph(b, 12)},
-		{"K=15-dense", dense.SampleBallDropN(randx.New(1), 1<<19)},
+	dg, err := dense.SampleBallDropNCtx(nil, randx.New(1), 1<<19)
+	if err != nil {
+		b.Fatal(err)
 	}
+	return []namedGraph{{"K=12", benchGraph(b, 12)}, {"K=15-dense", dg}}
 }
 
 func BenchmarkTriangleCount(b *testing.B) {
@@ -527,7 +501,7 @@ func BenchmarkTriangleCount(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				stats.Triangles(c.g)
+				stats.TrianglesCtx(nil, c.g)
 			}
 		})
 	}
@@ -539,7 +513,7 @@ func BenchmarkPrivateDegreeSequence(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		degseq.Private(g, 0.1, rng)
+		degseq.PrivateAcc(nil, g, 0.1, rng)
 	}
 }
 
@@ -548,7 +522,7 @@ func BenchmarkSmoothSensitivity(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				smoothsens.Smooth(c.g, 0.01)
+				smoothsens.SmoothCtx(nil, c.g, 0.01)
 			}
 		})
 	}
@@ -566,10 +540,13 @@ func BenchmarkMomentObjective(b *testing.B) {
 
 func BenchmarkMomentFit(b *testing.B) {
 	g := benchGraph(b, 12)
-	feats := stats.FeaturesOf(g)
+	feats, err := stats.FeaturesOfCtx(nil, g)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := kronmom.Fit(feats, 12, kronmom.Options{Rng: randx.New(uint64(i))}); err != nil {
+		if _, err := kronmom.FitCtx(nil, feats, 12, kronmom.Options{Rng: randx.New(uint64(i))}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -579,7 +556,7 @@ func BenchmarkKronFitIteration(b *testing.B) {
 	g := benchGraph(b, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := kronfit.Fit(g, kronfit.Options{K: 10, Iters: 1, Rng: randx.New(uint64(i))}); err != nil {
+		if _, err := kronfit.FitCtx(nil, g, kronfit.Options{K: 10, Iters: 1, Rng: randx.New(uint64(i))}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -589,7 +566,7 @@ func BenchmarkPrivateEstimateEndToEnd(b *testing.B) {
 	g := benchGraph(b, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Estimate(g, core.Options{Eps: 0.2, Delta: 0.01, Rng: randx.New(uint64(i))}); err != nil {
+		if _, err := core.EstimateCtx(nil, g, core.Options{Eps: 0.2, Delta: 0.01, Rng: randx.New(uint64(i))}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -599,7 +576,7 @@ func BenchmarkHopPlotExact(b *testing.B) {
 	g := benchGraph(b, 11)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.HopPlot(g)
+		stats.HopPlotCtx(nil, g)
 	}
 }
 
@@ -608,7 +585,7 @@ func BenchmarkHopPlotANF(b *testing.B) {
 	rng := randx.New(5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dpkron.ApproxHopPlot(g, 32, rng)
+		dpkron.ApproxHopPlotCtx(nil, g, 32, rng)
 	}
 }
 
@@ -617,7 +594,7 @@ func BenchmarkScreeValues(b *testing.B) {
 	rng := randx.New(6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dpkron.ScreeValues(g, 48, rng)
+		dpkron.ScreeValuesCtx(nil, g, 48, rng)
 	}
 }
 
@@ -626,7 +603,7 @@ func BenchmarkScreeValues(b *testing.B) {
 // al.'s G(n,p) analysis).
 func BenchmarkSmoothSensCompare(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SmoothSensCompare(
+		rows, err := experiments.SmoothSensCompareCtx(nil,
 			skg.Initiator{A: 0.99, B: 0.45, C: 0.25},
 			[]int{8, 9, 10, 11, 12, 13}, 0.2, 0.01, 11)
 		if err != nil {
@@ -640,7 +617,7 @@ func BenchmarkSmoothSensCompare(b *testing.B) {
 // a 2×2 moment fit applied to graphs from 2×2 and 3×3 initiators.
 func BenchmarkModelSelection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ModelSelection(31)
+		rows, err := experiments.ModelSelectionCtx(nil, 31)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -712,7 +689,7 @@ func BenchmarkReleaseCache(b *testing.B) {
 	b.Run("K=16-cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := core.Estimate(g, core.Options{Eps: 0.5, Delta: 0.01, K: 16, Rng: randx.New(9)})
+			res, err := core.EstimateCtx(nil, g, core.Options{Eps: 0.5, Delta: 0.01, K: 16, Rng: randx.New(9)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -950,7 +927,10 @@ func BenchmarkStreamingGenerate(b *testing.B) {
 					es.Close()
 					sorter.RemoveAll()
 				} else {
-					g := m.SampleBallDropNWorkers(rng, cfg.edges, 0)
+					g, err := m.SampleBallDropNCtx(nil, rng, cfg.edges)
+					if err != nil {
+						b.Fatal(err)
+					}
 					meta, _, err = st.PutFormat(g, "bench", "generated", 2)
 					if err != nil {
 						b.Fatal(err)

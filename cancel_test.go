@@ -34,7 +34,8 @@ func cancelledRun(workers int) *pipeline.Run {
 // completed.
 func TestEveryCtxPathReturnsPromptlyWhenPreCancelled(t *testing.T) {
 	m, _ := skg.NewModel(skg.Initiator{A: 0.99, B: 0.55, C: 0.35}, 10)
-	g := m.SampleExactWorkers(randx.New(42), 0)
+	g, _ := m.SampleExactCtx(nil, randx.New(42))
+	feats, _ := stats.FeaturesOfCtx(nil, g)
 	d, _ := experiments.Lookup("Synthetic")
 
 	cases := []struct {
@@ -47,6 +48,10 @@ func TestEveryCtxPathReturnsPromptlyWhenPreCancelled(t *testing.T) {
 		}},
 		{"skg.SampleBallDropNCtx", func(r *pipeline.Run) error {
 			_, err := m.SampleBallDropNCtx(r, randx.New(1), 5000)
+			return err
+		}},
+		{"skg.SampleBallDropCtx", func(r *pipeline.Run) error {
+			_, err := m.SampleBallDropCtx(r, randx.New(1))
 			return err
 		}},
 		{"skg.SampleCtx", func(r *pipeline.Run) error {
@@ -65,6 +70,14 @@ func TestEveryCtxPathReturnsPromptlyWhenPreCancelled(t *testing.T) {
 			_, err := stats.TrianglesCtx(r, g)
 			return err
 		}},
+		{"stats.TrianglesPerNodeCtx", func(r *pipeline.Run) error {
+			_, err := stats.TrianglesPerNodeCtx(r, g)
+			return err
+		}},
+		{"stats.ClusteringByDegreeCtx", func(r *pipeline.Run) error {
+			_, err := stats.ClusteringByDegreeCtx(r, g)
+			return err
+		}},
 		{"anf.HopPlotCtx", func(r *pipeline.Run) error {
 			_, err := anf.HopPlotCtx(r, g, anf.Options{Trials: 8, Rng: randx.New(1)})
 			return err
@@ -73,8 +86,16 @@ func TestEveryCtxPathReturnsPromptlyWhenPreCancelled(t *testing.T) {
 			_, err := smoothsens.MaxCommonNeighborsCtx(r, g)
 			return err
 		}},
-		{"smoothsens.PrivateTrianglesCtx", func(r *pipeline.Run) error {
-			_, err := smoothsens.PrivateTrianglesCtx(r, g, 0.2, 0.01, randx.New(1))
+		{"smoothsens.SmoothCtx", func(r *pipeline.Run) error {
+			_, err := smoothsens.SmoothCtx(r, g, 0.1)
+			return err
+		}},
+		{"smoothsens.PrivateTrianglesAccCtx", func(r *pipeline.Run) error {
+			_, err := smoothsens.PrivateTrianglesAccCtx(r, nil, g, 0.2, 0.01, randx.New(1))
+			return err
+		}},
+		{"smoothsens.PrivateTrianglesPureCtx", func(r *pipeline.Run) error {
+			_, err := smoothsens.PrivateTrianglesPureCtx(r, nil, g, 0.2, randx.New(1))
 			return err
 		}},
 		{"linalg.ScreeValuesCtx", func(r *pipeline.Run) error {
@@ -86,7 +107,7 @@ func TestEveryCtxPathReturnsPromptlyWhenPreCancelled(t *testing.T) {
 			return err
 		}},
 		{"kronmom.FitCtx", func(r *pipeline.Run) error {
-			_, err := kronmom.FitCtx(r, stats.FeaturesOf(g), 10, kronmom.Options{Rng: randx.New(1)})
+			_, err := kronmom.FitCtx(r, feats, 10, kronmom.Options{Rng: randx.New(1)})
 			return err
 		}},
 		{"kronmom.FitGraphCtx", func(r *pipeline.Run) error {
@@ -95,6 +116,10 @@ func TestEveryCtxPathReturnsPromptlyWhenPreCancelled(t *testing.T) {
 		}},
 		{"kronfit.FitCtx", func(r *pipeline.Run) error {
 			_, err := kronfit.FitCtx(r, g, kronfit.Options{K: 10, Rng: randx.New(1)})
+			return err
+		}},
+		{"kronfit.LogLikelihoodCtx", func(r *pipeline.Run) error {
+			_, err := kronfit.LogLikelihoodCtx(r, g, 10, skg.Initiator{A: 0.9, B: 0.5, C: 0.2}, randx.New(1))
 			return err
 		}},
 		{"core.EstimateCtx", func(r *pipeline.Run) error {
@@ -125,6 +150,14 @@ func TestEveryCtxPathReturnsPromptlyWhenPreCancelled(t *testing.T) {
 			_, err := experiments.SmoothSensCompareCtx(r, skg.Initiator{A: 0.9, B: 0.5, C: 0.2}, []int{8}, 0.2, 0.01, 1)
 			return err
 		}},
+		{"experiments.DistNormAblationCtx", func(r *pipeline.Run) error {
+			_, err := experiments.DistNormAblationCtx(r, skg.Initiator{A: 0.9, B: 0.5, C: 0.2}, 8, 1)
+			return err
+		}},
+		{"experiments.ModelSelectionCtx", func(r *pipeline.Run) error {
+			_, err := experiments.ModelSelectionCtx(r, 1)
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
@@ -145,7 +178,7 @@ func TestEveryCtxPathReturnsPromptlyWhenPreCancelled(t *testing.T) {
 // event arrives, so the cancellation always lands mid-run.
 func TestMidRunCancellationViaSink(t *testing.T) {
 	m, _ := skg.NewModel(skg.Initiator{A: 0.99, B: 0.55, C: 0.35}, 10)
-	g := m.SampleExactWorkers(randx.New(42), 0)
+	g, _ := m.SampleExactCtx(nil, randx.New(42))
 
 	// Cancel as soon as the triangle-release stage starts: Algorithm 1
 	// must abort before the moment fit ever begins.

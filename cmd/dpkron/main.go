@@ -312,7 +312,7 @@ func cmdTable1(args []string) error {
 	}
 	run, cancel := pf.newRun()
 	defer cancel()
-	opts := experiments.Table1Options{Eps: *eps, Delta: *delta, Seed: *seed, KronFitIters: *iters, Workers: *pf.workers}
+	opts := experiments.Table1Options{Eps: *eps, Delta: *delta, Seed: *seed, KronFitIters: *iters}
 	rows, err := experiments.RunTable1Ctx(run, opts)
 	if err != nil {
 		return err
@@ -344,7 +344,7 @@ func cmdFigure(args []string) error {
 	run, cancel := pf.newRun()
 	defer cancel()
 	res, err := experiments.RunFigureCtx(run, d, experiments.FigureOptions{
-		Eps: *eps, Delta: *delta, Seed: *seed, ExpectedRuns: *expected, Workers: *pf.workers,
+		Eps: *eps, Delta: *delta, Seed: *seed, ExpectedRuns: *expected,
 	})
 	if err != nil {
 		return err
@@ -632,7 +632,7 @@ func cmdStats(args []string) error {
 	}
 	fmt.Printf("nodes: %d\nedges: %.0f\nhairpins (wedges): %.0f\ntripins (3-stars): %.0f\ntriangles: %.0f\n",
 		g.NumNodes(), f.E, f.H, f.T, f.Delta)
-	fmt.Printf("global clustering: %.4f\nmax degree: %d\n", stats.GlobalClustering(g), g.MaxDegree())
+	fmt.Printf("global clustering: %.4f\nmax degree: %d\n", stats.GlobalClustering(f), g.MaxDegree())
 	hop, err := stats.HopPlotCtx(run, g)
 	if err != nil {
 		return err

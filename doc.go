@@ -12,11 +12,12 @@
 // # Quick start
 //
 //	g, _ := dpkron.ReadEdgeList(f, 0)
-//	res, _ := dpkron.EstimatePrivate(g, dpkron.PrivateOptions{
+//	var run *dpkron.Run // nil: all cores, no deadline, no progress
+//	res, _ := dpkron.EstimatePrivateCtx(run, g, dpkron.PrivateOptions{
 //		Eps: 0.2, Delta: 0.01, Rng: dpkron.NewRand(1),
 //	})
 //	fmt.Println("private initiator:", res.Init) // safe to publish
-//	synth := res.Model().Sample(dpkron.NewRand(2)) // synthetic graph
+//	synth, _ := res.Model().SampleCtx(run, dpkron.NewRand(2)) // synthetic graph
 //
 // The released Result carries the private initiator Θ̃, the private
 // feature counts, the noisy degree sequence and a per-mechanism privacy
@@ -71,20 +72,22 @@
 // the estimators — shard across a bounded worker pool
 // (internal/parallel). Sharding is deterministic: for a fixed seed,
 // every result is bit-identical for every worker count, so seeded
-// experiments stay exactly reproducible while using all cores. Options
-// structs accept a Workers bound (<= 0 means runtime.GOMAXPROCS(0));
-// plain entry points default to all cores. See README.md for the
-// paper-to-code map and the engine's design rules.
+// experiments stay exactly reproducible while using all cores. The
+// worker bound comes from the Run each call is given (<= 0 means
+// runtime.GOMAXPROCS(0); a nil Run means all cores). See README.md for
+// the paper-to-code map and the engine's design rules.
 //
 // # Cancellation, deadlines and progress
 //
-// Every long-running entry point has a ...Ctx variant taking a *Run
+// Every algorithm has one entry point, a ...Ctx function taking a *Run
 // (NewRun / NewRunTimeout): a context.Context for cancellation and
 // deadlines, a worker budget, and an optional ProgressSink receiving
-// one event pair per pipeline stage. Cancellation only ever aborts —
-// a cancelled Run makes the call return the context's error, never a
-// perturbed result — and a Run that completes produces bits identical
-// to the blocking entry point for the same seed. The `dpkron serve`
+// one event pair per pipeline stage. A nil *Run is a valid background
+// run on all cores with no sink. Cancellation only ever aborts — a
+// cancelled Run makes the call return the context's error, never a
+// perturbed result — and a Run that completes produces the same
+// fixed-seed bits for every worker budget, pinned by the repository's
+// fingerprint tests. The `dpkron serve`
 // command (internal/server) exposes the same pipeline as an HTTP/JSON
 // job API with polling, stage progress, and cancellation.
 //

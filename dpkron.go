@@ -195,7 +195,7 @@ func OpenLedger(path string) (*Ledger, error) { return accountant.Open(path) }
 // accrues across fits and restarts.
 func DatasetID(g *Graph) string { return accountant.DatasetID(g) }
 
-// PlannedReceipt returns the exact receipt EstimatePrivate will
+// PlannedReceipt returns the exact receipt EstimatePrivateCtx will
 // produce for a total budget (eps, delta), without touching any data:
 // Algorithm 1's charge schedule is data-independent, so a ledger can
 // be debited before the run is admitted.
@@ -263,8 +263,8 @@ func ImportDataset(s *DatasetStore, r io.Reader, name string) (DatasetMeta, erro
 // the given worker budget (<= 0 selects all cores) and optional
 // progress sink. Pass the Run to the ...Ctx entry points; cancelling
 // ctx makes them return promptly with ctx's error, and a Run that is
-// never cancelled produces results bit-identical to the blocking entry
-// points for the same seed.
+// never cancelled produces the same fixed-seed results for every worker
+// budget. A nil *Run is a valid background run on all cores.
 func NewRun(ctx context.Context, workers int, sink ProgressSink) *Run {
 	return pipeline.New(ctx, workers, sink)
 }
@@ -293,97 +293,80 @@ func ReadEdgeList(r io.Reader, minNodes int) (*Graph, error) {
 // SKG model on 2^K nodes.
 func NewModel(init Initiator, k int) (Model, error) { return skg.NewModel(init, k) }
 
-// EstimatePrivate runs the paper's Algorithm 1: an (ε, δ)-edge-
-// differentially-private estimate of the SKG initiator of g.
-func EstimatePrivate(g *Graph, opts PrivateOptions) (*PrivateResult, error) {
-	return core.Estimate(g, opts)
-}
-
-// EstimatePrivateCtx is EstimatePrivate under a pipeline Run: the
-// run's context is checked between and inside the algorithm stages
-// (cancellation aborts with the context's error, never a perturbed
-// result), the run's worker budget replaces opts.Workers, and one
-// progress event pair per Algorithm 1 stage is emitted to the run's
-// sink under the "algorithm1/" prefix.
+// EstimatePrivateCtx runs the paper's Algorithm 1 under a pipeline
+// Run: an (ε, δ)-edge-differentially-private estimate of the SKG
+// initiator of g. The run's context is checked between and inside the
+// algorithm stages (cancellation aborts with the context's error, never
+// a perturbed result), the run's worker budget bounds every parallel
+// stage (the release is identical for every budget), and one progress
+// event pair per Algorithm 1 stage is emitted to the run's sink under
+// the "algorithm1/" prefix. A nil run means all cores, no cancellation.
 func EstimatePrivateCtx(run *Run, g *Graph, opts PrivateOptions) (*PrivateResult, error) {
 	return core.EstimateCtx(run, g, opts)
 }
 
-// FitMoment runs the non-private Gleich–Owen KronMom estimator on the
-// exact features of g ("KronMom" in the paper's Table 1). k <= 0 infers
-// the smallest adequate Kronecker power.
-func FitMoment(g *Graph, k int, opts MomentOptions) (MomentEstimate, error) {
-	return kronmom.FitGraph(g, k, opts)
-}
-
-// FitMomentFeatures runs KronMom directly on a feature vector, which is
-// how Algorithm 1 consumes its private features.
-func FitMomentFeatures(f Features, k int, opts MomentOptions) (MomentEstimate, error) {
-	return kronmom.Fit(f, k, opts)
-}
-
-// FitMomentCtx is FitMoment under a pipeline Run (cancellable,
-// progress-reporting; see EstimatePrivateCtx for the contract).
+// FitMomentCtx runs the non-private Gleich–Owen KronMom estimator on
+// the exact features of g ("KronMom" in the paper's Table 1) under a
+// pipeline Run (cancellable, progress-reporting; see
+// EstimatePrivateCtx for the contract). k <= 0 infers the smallest
+// adequate Kronecker power.
 func FitMomentCtx(run *Run, g *Graph, k int, opts MomentOptions) (MomentEstimate, error) {
 	return kronmom.FitGraphCtx(run, g, k, opts)
 }
 
-// FitMLE runs the non-private KronFit approximate maximum-likelihood
-// estimator ("KronFit" in the paper's Table 1).
-func FitMLE(g *Graph, opts MLEOptions) (MLEResult, error) {
-	return kronfit.Fit(g, opts)
+// FitMomentFeaturesCtx runs KronMom directly on a feature vector, which
+// is how Algorithm 1 consumes its private features.
+func FitMomentFeaturesCtx(run *Run, f Features, k int, opts MomentOptions) (MomentEstimate, error) {
+	return kronmom.FitCtx(run, f, k, opts)
 }
 
-// FitMLECtx is FitMLE under a pipeline Run: cancellation is checked
-// once per gradient iteration and the "kronfit" stage reports an
-// incremental progress fraction.
+// FitMLECtx runs the non-private KronFit approximate maximum-likelihood
+// estimator ("KronFit" in the paper's Table 1) under a pipeline Run:
+// cancellation is checked once per gradient iteration and the "kronfit"
+// stage reports an incremental progress fraction.
 func FitMLECtx(run *Run, g *Graph, opts MLEOptions) (MLEResult, error) {
 	return kronfit.FitCtx(run, g, opts)
 }
 
-// FeaturesOf computes the exact matching features (edges, hairpins,
-// tripins, triangles) of g.
-func FeaturesOf(g *Graph) Features { return stats.FeaturesOf(g) }
-
-// FeaturesOfCtx is FeaturesOf under a pipeline Run.
+// FeaturesOfCtx computes the exact matching features (edges, hairpins,
+// tripins, triangles) of g under a pipeline Run.
 func FeaturesOfCtx(run *Run, g *Graph) (Features, error) {
 	return stats.FeaturesOfCtx(run, g)
 }
 
-// HopPlotCtx is HopPlot under a pipeline Run.
+// HopPlotCtx returns the exact cumulative hop plot of g (ordered pairs,
+// including self-pairs, within h hops) by all-source BFS under a
+// pipeline Run.
 func HopPlotCtx(run *Run, g *Graph) ([]int64, error) {
 	return stats.HopPlotCtx(run, g)
 }
 
-// ApproxHopPlotCtx is ApproxHopPlot under a pipeline Run.
+// ApproxHopPlotCtx estimates the hop plot with ANF sketches under a
+// pipeline Run; trials controls accuracy (32 is typical).
 func ApproxHopPlotCtx(run *Run, g *Graph, trials int, rng *Rand) ([]float64, error) {
 	return anf.HopPlotCtx(run, g, anf.Options{Trials: trials, Rng: rng})
-}
-
-// HopPlot returns the exact cumulative hop plot of g (ordered pairs,
-// including self-pairs, within h hops) by all-source BFS.
-func HopPlot(g *Graph) []int64 { return stats.HopPlot(g) }
-
-// ApproxHopPlot estimates the hop plot with ANF sketches; trials
-// controls accuracy (32 is typical).
-func ApproxHopPlot(g *Graph, trials int, rng *Rand) []float64 {
-	return anf.HopPlot(g, anf.Options{Trials: trials, Rng: rng})
 }
 
 // DegreeDistribution returns (degree, node count) pairs sorted by degree.
 func DegreeDistribution(g *Graph) []DegreePoint { return stats.DegreeDistribution(g) }
 
-// ClusteringByDegree returns the average local clustering coefficient
-// per node degree.
-func ClusteringByDegree(g *Graph) []DegreePoint { return stats.ClusteringByDegree(g) }
+// ClusteringByDegreeCtx returns the average local clustering
+// coefficient per node degree; the per-node triangle count runs under
+// the pipeline Run.
+func ClusteringByDegreeCtx(run *Run, g *Graph) ([]DegreePoint, error) {
+	return stats.ClusteringByDegreeCtx(run, g)
+}
 
-// ScreeValues returns the top-k singular values of the adjacency matrix,
-// descending (the paper's scree plot series).
-func ScreeValues(g *Graph, k int, rng *Rand) []float64 { return linalg.ScreeValues(g, k, rng) }
+// ScreeValuesCtx returns the top-k singular values of the adjacency
+// matrix, descending (the paper's scree plot series), under a pipeline
+// Run.
+func ScreeValuesCtx(run *Run, g *Graph, k int, rng *Rand) ([]float64, error) {
+	return linalg.ScreeValuesCtx(run, g, k, rng)
+}
 
-// NetworkValues returns the sorted absolute components of the principal
-// eigenvector (the paper's network-value series).
-func NetworkValues(g *Graph, rng *Rand) []float64 { return linalg.NetworkValues(g, rng) }
-
-// Triangles returns the exact triangle count of g.
-func Triangles(g *Graph) int64 { return stats.Triangles(g) }
+// NetworkValuesCtx returns the sorted absolute components of the
+// principal eigenvector (the paper's network-value series) under a
+// pipeline Run.
+func NetworkValuesCtx(run *Run, g *Graph, rng *Rand) ([]float64, error) {
+	return linalg.NetworkValuesCtx(run, g, rng)
+}

@@ -14,12 +14,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := model.Sample(dpkron.NewRand(1))
+	g, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if g.NumNodes() != 1024 {
 		t.Fatalf("nodes = %d", g.NumNodes())
 	}
 
-	res, err := dpkron.EstimatePrivate(g, dpkron.PrivateOptions{
+	res, err := dpkron.EstimatePrivateCtx(nil, g, dpkron.PrivateOptions{
 		Eps: 0.5, Delta: 0.01, Rng: dpkron.NewRand(2),
 	})
 	if err != nil {
@@ -28,7 +31,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if res.Privacy.Eps != 0.5 || res.Privacy.Delta != 0.01 {
 		t.Fatalf("privacy = %v", res.Privacy)
 	}
-	synth := res.Model().Sample(dpkron.NewRand(3))
+	synth, err := res.Model().SampleCtx(nil, dpkron.NewRand(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if synth.NumNodes() != g.NumNodes() {
 		t.Fatal("synthetic graph node count mismatch")
 	}
@@ -41,27 +47,34 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeBaselines(t *testing.T) {
 	model, _ := dpkron.NewModel(dpkron.Initiator{A: 0.9, B: 0.5, C: 0.2}, 9)
-	g := model.Sample(dpkron.NewRand(4))
-	mom, err := dpkron.FitMoment(g, 0, dpkron.MomentOptions{Rng: dpkron.NewRand(5)})
+	g, err := model.SampleCtx(nil, dpkron.NewRand(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mom, err := dpkron.FitMomentCtx(nil, g, 0, dpkron.MomentOptions{Rng: dpkron.NewRand(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mom.K != 9 {
 		t.Fatalf("inferred k = %d", mom.K)
 	}
-	mle, err := dpkron.FitMLE(g, dpkron.MLEOptions{Iters: 5, Rng: dpkron.NewRand(6)})
+	mle, err := dpkron.FitMLECtx(nil, g, dpkron.MLEOptions{Iters: 5, Rng: dpkron.NewRand(6)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mle.K != 9 {
 		t.Fatalf("mle k = %d", mle.K)
 	}
-	feats, err := dpkron.FitMomentFeatures(dpkron.FeaturesOf(g), 9, dpkron.MomentOptions{Rng: dpkron.NewRand(7)})
+	exact, err := dpkron.FeaturesOfCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats, err := dpkron.FitMomentFeaturesCtx(nil, exact, 9, dpkron.MomentOptions{Rng: dpkron.NewRand(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff := math.Abs(feats.Init.A - mom.Init.A); diff > 1e-9 {
-		t.Fatalf("FitMomentFeatures disagrees with FitMoment: %v", diff)
+		t.Fatalf("FitMomentFeaturesCtx disagrees with FitMomentCtx: %v", diff)
 	}
 }
 
@@ -70,34 +83,31 @@ func TestFacadeGraphHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dpkron.Triangles(g) != 1 {
-		t.Fatal("triangle count")
+	f, err := dpkron.FeaturesOfCtx(nil, g)
+	if err != nil || f.E != 3 || f.Delta != 1 || f.H != 3 {
+		t.Fatalf("features = %+v, %v", f, err)
 	}
-	f := dpkron.FeaturesOf(g)
-	if f.E != 3 || f.Delta != 1 || f.H != 3 {
-		t.Fatalf("features = %+v", f)
-	}
-	hop := dpkron.HopPlot(g)
-	if hop[len(hop)-1] != 9 {
-		t.Fatalf("hop plot = %v", hop)
+	hop, err := dpkron.HopPlotCtx(nil, g)
+	if err != nil || hop[len(hop)-1] != 9 {
+		t.Fatalf("hop plot = %v, %v", hop, err)
 	}
 	if dd := dpkron.DegreeDistribution(g); len(dd) != 1 || dd[0].Degree != 2 {
 		t.Fatalf("degree distribution = %+v", dd)
 	}
-	if cc := dpkron.ClusteringByDegree(g); len(cc) != 1 || cc[0].Value != 1 {
-		t.Fatalf("clustering = %+v", cc)
+	if cc, err := dpkron.ClusteringByDegreeCtx(nil, g); err != nil || len(cc) != 1 || cc[0].Value != 1 {
+		t.Fatalf("clustering = %+v, %v", cc, err)
 	}
-	sv := dpkron.ScreeValues(g, 3, dpkron.NewRand(1))
-	if len(sv) == 0 || math.Abs(sv[0]-2) > 1e-6 {
-		t.Fatalf("scree = %v", sv)
+	sv, err := dpkron.ScreeValuesCtx(nil, g, 3, dpkron.NewRand(1))
+	if err != nil || len(sv) == 0 || math.Abs(sv[0]-2) > 1e-6 {
+		t.Fatalf("scree = %v, %v", sv, err)
 	}
-	nv := dpkron.NetworkValues(g, dpkron.NewRand(2))
-	if len(nv) != 3 || math.Abs(nv[0]-1/math.Sqrt(3)) > 1e-6 {
-		t.Fatalf("network values = %v", nv)
+	nv, err := dpkron.NetworkValuesCtx(nil, g, dpkron.NewRand(2))
+	if err != nil || len(nv) != 3 || math.Abs(nv[0]-1/math.Sqrt(3)) > 1e-6 {
+		t.Fatalf("network values = %v, %v", nv, err)
 	}
-	approx := dpkron.ApproxHopPlot(g, 64, dpkron.NewRand(3))
-	if len(approx) == 0 {
-		t.Fatal("approx hop plot empty")
+	approx, err := dpkron.ApproxHopPlotCtx(nil, g, 64, dpkron.NewRand(3))
+	if err != nil || len(approx) == 0 {
+		t.Fatalf("approx hop plot = %v, %v", approx, err)
 	}
 	b := dpkron.NewBuilder(3)
 	b.AddEdge(0, 1)

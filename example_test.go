@@ -26,29 +26,37 @@ func ExampleReadEdgeList() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	f, err := dpkron.FeaturesOfCtx(nil, g) // nil run: all cores, no deadline
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("nodes:", g.NumNodes())
 	fmt.Println("edges:", g.NumEdges())
-	fmt.Println("triangles:", dpkron.Triangles(g))
+	fmt.Println("triangles:", f.Delta)
 	// Output:
 	// nodes: 4
 	// edges: 4
 	// triangles: 1
 }
 
-// ExampleEstimatePrivate is the README quick start: a data owner runs
-// the paper's Algorithm 1 on a sensitive graph and releases an
-// (ε, δ)-differentially private SKG initiator. Here the sensitive graph
-// is a synthetic stand-in sampled from a known model so the example is
-// self-contained and deterministic.
-func ExampleEstimatePrivate() {
+// ExampleEstimatePrivateCtx_quickstart is the README quick start: a
+// data owner runs the paper's Algorithm 1 on a sensitive graph and
+// releases an (ε, δ)-differentially private SKG initiator. Here the
+// sensitive graph is a synthetic stand-in sampled from a known model so
+// the example is self-contained and deterministic. A nil Run uses all
+// cores with no deadline.
+func ExampleEstimatePrivateCtx_quickstart() {
 	truth := dpkron.Initiator{A: 0.99, B: 0.55, C: 0.35}
 	model, err := dpkron.NewModel(truth, 10) // 2^10 = 1024 nodes
 	if err != nil {
 		log.Fatal(err)
 	}
-	sensitive := model.Sample(dpkron.NewRand(1))
+	sensitive, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	res, err := dpkron.EstimatePrivate(sensitive, dpkron.PrivateOptions{
+	res, err := dpkron.EstimatePrivateCtx(nil, sensitive, dpkron.PrivateOptions{
 		Eps: 0.2, Delta: 0.01, Rng: dpkron.NewRand(2),
 	})
 	if err != nil {
@@ -79,7 +87,10 @@ func ExampleOpenLedger() {
 	defer os.RemoveAll(dir)
 
 	model, _ := dpkron.NewModel(dpkron.Initiator{A: 0.99, B: 0.55, C: 0.35}, 9)
-	sensitive := model.Sample(dpkron.NewRand(1))
+	sensitive, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	led, err := dpkron.OpenLedger(filepath.Join(dir, "ledger.json"))
 	if err != nil {
@@ -97,7 +108,7 @@ func ExampleOpenLedger() {
 			fmt.Printf("fit %d: refused, remaining %s\n", i, led.Remaining(ds))
 			continue
 		}
-		res, err := dpkron.EstimatePrivate(sensitive, dpkron.PrivateOptions{
+		res, err := dpkron.EstimatePrivateCtx(nil, sensitive, dpkron.PrivateOptions{
 			Eps: 0.25, Delta: 0.01, Rng: dpkron.NewRand(uint64(i)),
 		})
 		if err != nil {
@@ -114,14 +125,17 @@ func ExampleOpenLedger() {
 // ExampleEstimatePrivateCtx runs Algorithm 1 under a pipeline Run: the
 // context bounds the wall time (cancellation aborts with the context's
 // error, never a perturbed result), the worker budget caps
-// parallelism, and the released estimate is bit-identical to the
-// blocking EstimatePrivate for the same seed.
+// parallelism, and the released estimate is bit-identical to a nil-run
+// (all cores, no deadline) call for the same seed.
 func ExampleEstimatePrivateCtx() {
 	model, err := dpkron.NewModel(dpkron.Initiator{A: 0.99, B: 0.55, C: 0.35}, 10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sensitive := model.Sample(dpkron.NewRand(1))
+	sensitive, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -134,17 +148,17 @@ func ExampleEstimatePrivateCtx() {
 		log.Fatal(err) // context.DeadlineExceeded if the minute ran out
 	}
 
-	blocking, err := dpkron.EstimatePrivate(sensitive, dpkron.PrivateOptions{
+	background, err := dpkron.EstimatePrivateCtx(nil, sensitive, dpkron.PrivateOptions{
 		Eps: 0.2, Delta: 0.01, Rng: dpkron.NewRand(2),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("guarantee:", res.Privacy)
-	fmt.Println("identical to blocking call:", res.Init == blocking.Init)
+	fmt.Println("identical to nil-run call:", res.Init == background.Init)
 	// Output:
 	// guarantee: (0.2, 0.01)-DP
-	// identical to blocking call: true
+	// identical to nil-run call: true
 }
 
 // ExampleProgressSink shows the stage/progress event stream: a sink
@@ -157,7 +171,10 @@ func ExampleProgressSink() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sensitive := model.Sample(dpkron.NewRand(1))
+	sensitive, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var started []string
 	sink := func(e dpkron.ProgressEvent) {
@@ -190,15 +207,21 @@ func ExamplePrivateResult_Model() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sensitive := model.Sample(dpkron.NewRand(1))
-	res, err := dpkron.EstimatePrivate(sensitive, dpkron.PrivateOptions{
+	sensitive, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := dpkron.EstimatePrivateCtx(nil, sensitive, dpkron.PrivateOptions{
 		Eps: 0.2, Delta: 0.01, Rng: dpkron.NewRand(2),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	synth := res.Model().Sample(dpkron.NewRand(3)) // post-processing: costs no privacy
+	synth, err := res.Model().SampleCtx(nil, dpkron.NewRand(3)) // post-processing: costs no privacy
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("synthetic nodes:", synth.NumNodes())
 	fmt.Println("same node count as original:", synth.NumNodes() == sensitive.NumNodes())
 	// Output:
@@ -222,8 +245,12 @@ func ExampleOpenStore() {
 
 	// The sensitive graph, as it would arrive: edge-list text.
 	model, _ := dpkron.NewModel(dpkron.Initiator{A: 0.99, B: 0.55, C: 0.35}, 9)
+	g, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
 	var edgeList strings.Builder
-	if err := model.Sample(dpkron.NewRand(1)).WriteEdgeList(&edgeList); err != nil {
+	if err := g.WriteEdgeList(&edgeList); err != nil {
 		log.Fatal(err)
 	}
 
@@ -247,7 +274,7 @@ func ExampleOpenStore() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := dpkron.EstimatePrivate(g, dpkron.PrivateOptions{
+		res, err := dpkron.EstimatePrivateCtx(nil, g, dpkron.PrivateOptions{
 			Eps: 0.25, Delta: 0.01, Rng: dpkron.NewRand(seed),
 		})
 		if err != nil {
@@ -284,7 +311,10 @@ func ExampleOpenReleaseCache() {
 	defer os.RemoveAll(dir)
 
 	model, _ := dpkron.NewModel(dpkron.Initiator{A: 0.99, B: 0.55, C: 0.35}, 9)
-	sensitive := model.Sample(dpkron.NewRand(1))
+	sensitive, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	led, err := dpkron.OpenLedger(filepath.Join(dir, "ledger.json"))
 	if err != nil {
@@ -310,7 +340,7 @@ func ExampleOpenReleaseCache() {
 		if err := led.Spend(ds, dpkron.PlannedReceipt(0.25, 0.01)); err != nil {
 			log.Fatal(err)
 		}
-		res, err := dpkron.EstimatePrivate(sensitive, dpkron.PrivateOptions{
+		res, err := dpkron.EstimatePrivateCtx(nil, sensitive, dpkron.PrivateOptions{
 			Eps: 0.25, Delta: 0.01, K: 9, Rng: dpkron.NewRand(7),
 		})
 		if err != nil {

@@ -25,20 +25,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	original := gen.Sample(dpkron.NewRand(1001))
+	var run *dpkron.Run // nil: all cores, no deadline
+	original, err := gen.SampleCtx(run, dpkron.NewRand(1001))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("co-authorship stand-in: %d nodes, %d edges\n\n",
 		original.NumNodes(), original.NumEdges())
 
 	// Fit the three estimators of Table 1.
-	mle, err := dpkron.FitMLE(original, dpkron.MLEOptions{K: 12, Iters: 40, Rng: dpkron.NewRand(2)})
+	mle, err := dpkron.FitMLECtx(run, original, dpkron.MLEOptions{K: 12, Iters: 40, Rng: dpkron.NewRand(2)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mom, err := dpkron.FitMoment(original, 12, dpkron.MomentOptions{Rng: dpkron.NewRand(3)})
+	mom, err := dpkron.FitMomentCtx(run, original, 12, dpkron.MomentOptions{Rng: dpkron.NewRand(3)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	priv, err := dpkron.EstimatePrivate(original, dpkron.PrivateOptions{
+	priv, err := dpkron.EstimatePrivateCtx(run, original, dpkron.PrivateOptions{
 		Eps: 0.2, Delta: 0.01, Rng: dpkron.NewRand(4),
 	})
 	if err != nil {
@@ -65,8 +69,14 @@ func main() {
 		clustering, maxDegree float64
 	}
 	summarize := func(name string, g *dpkron.Graph) row {
-		f := dpkron.FeaturesOf(g)
-		hop := dpkron.HopPlot(g)
+		f, err := dpkron.FeaturesOfCtx(run, g)
+		if err != nil {
+			log.Fatal(err)
+		}
+		hop, err := dpkron.HopPlotCtx(run, g)
+		if err != nil {
+			log.Fatal(err)
+		}
 		// Effective diameter at 90% of reachable pairs.
 		target := 0.9 * float64(hop[len(hop)-1])
 		eff := 0.0
@@ -88,7 +98,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rows = append(rows, summarize(m.name, model.Sample(dpkron.NewRand(uint64(10+i)))))
+		synth, err := model.SampleCtx(run, dpkron.NewRand(uint64(10+i)))
+		if err != nil {
+			log.Fatal(err)
+		}
+		rows = append(rows, summarize(m.name, synth))
 	}
 	fmt.Printf("%-10s %9s %10s %8s %10s %8s\n",
 		"graph", "edges", "triangles", "effDiam", "transit.", "maxDeg")

@@ -25,12 +25,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sensitive := model.Sample(dpkron.NewRand(1))
-	fmt.Printf("sensitive graph: %d nodes, %d edges, %d triangles\n",
-		sensitive.NumNodes(), sensitive.NumEdges(), dpkron.Triangles(sensitive))
+	// Every algorithm takes a pipeline Run; a nil Run uses all cores
+	// with no deadline and no progress sink (see dpkron.NewRun).
+	var run *dpkron.Run
+	sensitive, err := model.SampleCtx(run, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fo, err := dpkron.FeaturesOfCtx(run, sensitive)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("sensitive graph: %d nodes, %d edges, %.0f triangles\n",
+		sensitive.NumNodes(), sensitive.NumEdges(), fo.Delta)
 
 	// Data owner: one call releases an (eps, delta)-DP estimator.
-	res, err := dpkron.EstimatePrivate(sensitive, dpkron.PrivateOptions{
+	res, err := dpkron.EstimatePrivateCtx(run, sensitive, dpkron.PrivateOptions{
 		Eps:   0.2,
 		Delta: 0.01,
 		Rng:   dpkron.NewRand(2),
@@ -43,8 +53,14 @@ func main() {
 
 	// Analyst: sample a synthetic graph from the published model and
 	// compute statistics that never touch the sensitive data.
-	synth := res.Model().Sample(dpkron.NewRand(3))
-	fs, fo := dpkron.FeaturesOf(synth), dpkron.FeaturesOf(sensitive)
+	synth, err := res.Model().SampleCtx(run, dpkron.NewRand(3))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fs, err := dpkron.FeaturesOfCtx(run, synth)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\n%-12s %12s %12s\n", "feature", "original", "synthetic")
 	fmt.Printf("%-12s %12.0f %12.0f\n", "edges", fo.E, fs.E)
 	fmt.Printf("%-12s %12.0f %12.0f\n", "hairpins", fo.H, fs.H)

@@ -28,13 +28,6 @@ type Options struct {
 	MaxHops int
 	// Rng supplies randomness; required.
 	Rng *randx.Rand
-	// Workers bounds the goroutines used for bitmask propagation and
-	// estimation; <= 0 selects runtime.GOMAXPROCS(0). The estimate is
-	// identical for every worker count: sketch initialization consumes
-	// the Rng serially, propagation writes disjoint node blocks, and
-	// the cardinality sum reduces fixed shards in order. HopPlotCtx
-	// ignores this field: the pipeline Run's budget is authoritative.
-	Workers int
 }
 
 func (o *Options) fill() {
@@ -46,21 +39,18 @@ func (o *Options) fill() {
 	}
 }
 
-// HopPlot estimates the cumulative hop plot of g: element h approximates
-// the number of ordered pairs (u, v), including u = v, within distance h.
-// The returned slice stops when the estimate stops growing (within one
-// part in 1e6) or at MaxHops.
-func HopPlot(g *graph.Graph, opts Options) []float64 {
-	hop, _ := HopPlotCtx(pipeline.New(nil, opts.Workers, nil), g, opts)
-	return hop
-}
-
-// HopPlotCtx is HopPlot under a pipeline Run: the worker budget comes
-// from run (Options.Workers is ignored), the context is checked once
-// per propagation round and between the blocks of each round, and an
-// "anf" stage event pair is emitted. A run that is never cancelled
-// estimates the exact HopPlot series for the same Rng; a cancelled run
-// returns run.Err().
+// HopPlotCtx estimates the cumulative hop plot of g: element h
+// approximates the number of ordered pairs (u, v), including u = v,
+// within distance h. The returned slice stops when the estimate stops
+// growing (within one part in 1e6) or at MaxHops.
+//
+// Bitmask propagation and estimation run on the run's worker budget,
+// and the estimate is identical for every worker count: sketch
+// initialization consumes the Rng serially, propagation writes disjoint
+// node blocks, and the cardinality sum reduces fixed shards in order.
+// The run's context is checked once per propagation round and between
+// the blocks of each round (a cancelled run returns run.Err()), and an
+// "anf" stage event pair is emitted.
 func HopPlotCtx(run *pipeline.Run, g *graph.Graph, opts Options) ([]float64, error) {
 	opts.fill()
 	if opts.Rng == nil {

@@ -23,11 +23,17 @@ func randomGraph(n int, p float64, seed uint64) *graph.Graph {
 	return b.Build()
 }
 
+// hopPlot runs the estimator at a nil run (all cores, never cancelled).
+func hopPlot(g *graph.Graph, opts Options) []float64 {
+	hop, _ := HopPlotCtx(nil, g, opts)
+	return hop
+}
+
 func TestHopPlotCloseToExact(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g := randomGraph(200, 0.03, seed)
-		exact := stats.HopPlot(g)
-		approx := HopPlot(g, Options{Trials: 128, Rng: randx.New(seed)})
+		exact, _ := stats.HopPlotCtx(nil, g)
+		approx := hopPlot(g, Options{Trials: 128, Rng: randx.New(seed)})
 		// Compare the final reachable-pair counts within 15%.
 		e := float64(exact[len(exact)-1])
 		a := approx[len(approx)-1]
@@ -47,7 +53,7 @@ func TestHopPlotCloseToExact(t *testing.T) {
 
 func TestHopPlotMonotone(t *testing.T) {
 	g := randomGraph(100, 0.05, 7)
-	hop := HopPlot(g, Options{Trials: 32, Rng: randx.New(7)})
+	hop := hopPlot(g, Options{Trials: 32, Rng: randx.New(7)})
 	for i := 1; i < len(hop); i++ {
 		if hop[i] < hop[i-1] {
 			t.Fatalf("hop plot not monotone at %d: %v", i, hop)
@@ -56,13 +62,13 @@ func TestHopPlotMonotone(t *testing.T) {
 }
 
 func TestHopPlotEmptyAndSingleton(t *testing.T) {
-	if got := HopPlot(graph.Empty(0), Options{Rng: randx.New(1)}); got != nil {
+	if got := hopPlot(graph.Empty(0), Options{Rng: randx.New(1)}); got != nil {
 		t.Fatalf("empty graph hop plot = %v, want nil", got)
 	}
 	// Five isolated nodes: the series must converge immediately (no
 	// growth past hop 0). FM sketches overestimate tiny cardinalities
 	// (the phi correction is asymptotic), so only the shape is checked.
-	hop := HopPlot(graph.Empty(5), Options{Trials: 64, Rng: randx.New(1)})
+	hop := hopPlot(graph.Empty(5), Options{Trials: 64, Rng: randx.New(1)})
 	if len(hop) != 1 || hop[0] <= 0 {
 		t.Fatalf("isolated nodes hop plot = %v, want single positive entry", hop)
 	}
@@ -70,8 +76,8 @@ func TestHopPlotEmptyAndSingleton(t *testing.T) {
 
 func TestHopPlotDeterministicGivenSeed(t *testing.T) {
 	g := randomGraph(60, 0.08, 3)
-	a := HopPlot(g, Options{Trials: 16, Rng: randx.New(42)})
-	b := HopPlot(g, Options{Trials: 16, Rng: randx.New(42)})
+	a := hopPlot(g, Options{Trials: 16, Rng: randx.New(42)})
+	b := hopPlot(g, Options{Trials: 16, Rng: randx.New(42)})
 	if len(a) != len(b) {
 		t.Fatal("non-deterministic length")
 	}
@@ -96,5 +102,5 @@ func TestRequiresRng(t *testing.T) {
 			t.Fatal("expected panic without Rng")
 		}
 	}()
-	HopPlot(graph.Empty(3), Options{})
+	hopPlot(graph.Empty(3), Options{})
 }

@@ -3,13 +3,14 @@ package core
 import (
 	"testing"
 
+	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 	"dpkron/internal/skg"
 )
 
 // TestEstimateWorkerInvariant checks the whole-pipeline contract: with a
 // fixed seed, Algorithm 1 releases the same private initiator, features
-// and degree sequence for every Workers setting, because each parallel
+// and degree sequence for every worker budget, because each parallel
 // stage (sampling, feature counting, sensitivity scan, moment descent)
 // is sharded deterministically.
 func TestEstimateWorkerInvariant(t *testing.T) {
@@ -17,10 +18,10 @@ func TestEstimateWorkerInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := m.SampleExact(randx.New(1))
+	g, _ := m.SampleExactCtx(nil, randx.New(1))
 
 	run := func(workers int) *Result {
-		res, err := Estimate(g, Options{Eps: 0.5, Delta: 0.01, Workers: workers, Rng: randx.New(2)})
+		res, err := EstimateCtx(pipeline.New(nil, workers, nil), g, Options{Eps: 0.5, Delta: 0.01, Rng: randx.New(2)})
 		if err != nil {
 			t.Fatal(err)
 		}

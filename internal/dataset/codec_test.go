@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dpkron/internal/graph"
+	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 	"dpkron/internal/skg"
 )
@@ -25,6 +26,14 @@ func testGraphs(tb testing.TB) map[string]*graph.Graph {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	exact, err := m.SampleExactCtx(pipeline.New(nil, 4, nil), randx.New(42))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	drop, err := skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: 12}.SampleBallDropNCtx(nil, randx.New(7), 3000)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	return map[string]*graph.Graph{
 		"empty":        graph.Empty(0),
 		"nodes-only":   graph.Empty(17),
@@ -34,8 +43,8 @@ func testGraphs(tb testing.TB) map[string]*graph.Graph {
 		"star":         graph.Star(33),
 		"complete":     graph.Complete(20),
 		"isolated":     withIsolated.Build(),
-		"skg-k10":      m.SampleExactWorkers(randx.New(42), 4),
-		"skg-balldrop": skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: 12}.SampleBallDropN(randx.New(7), 3000),
+		"skg-k10":      exact,
+		"skg-balldrop": drop,
 	}
 }
 

@@ -30,7 +30,8 @@ func sampleGraph(t testing.TB, seed uint64) *graph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.SampleExact(randx.New(seed))
+	g, _ := m.SampleExactCtx(nil, randx.New(seed))
+	return g
 }
 
 func TestStoreLifecycle(t *testing.T) {

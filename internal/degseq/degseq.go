@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"dpkron/internal/accountant"
-	"dpkron/internal/dp"
 	"dpkron/internal/graph"
 	"dpkron/internal/randx"
 )
@@ -40,34 +39,24 @@ func Sorted(g *graph.Graph) []float64 {
 // Query is the name under which the release is charged to accountants.
 const Query = "degseq/sorted-degree-sequence"
 
-// Private returns an (ε, 0)-differentially private estimate of the
-// sorted degree sequence of g: Laplace noise with scale 2/ε followed by
-// isotonic (PAVA) post-processing. The result is non-decreasing but not
-// necessarily integral or non-negative; downstream feature formulas
-// accept real values (Fact 4.6 of the paper).
-func Private(g *graph.Graph, eps float64, rng *randx.Rand) []float64 {
-	out, _ := PrivateAcc(nil, g, eps, rng) // nil accountant never refuses
-	return out
-}
-
-// PrivateAcc is Private drawing through the accountant's vector
-// Laplace mechanism: the (ε, 0) charge is recorded on acc (nil records
-// nothing) before any noise is drawn, and a refused charge — the
-// accountant's budget limit would be exceeded — returns the error with
-// no noise consumed from rng. For fixed seeds the released sequence is
-// bit-identical to Private.
+// PrivateAcc returns an (ε, 0)-differentially private estimate of the
+// sorted degree sequence of g: the accountant's vector Laplace
+// mechanism with scale 2/ε followed by isotonic (PAVA) post-processing.
+// The result is non-decreasing but not necessarily integral or
+// non-negative; downstream feature formulas accept real values (Fact
+// 4.6 of the paper).
+//
+// The (ε, 0) charge is recorded on acc (nil records nothing) before any
+// noise is drawn, and a refused charge — the accountant's budget limit
+// would be exceeded — returns the error with no noise consumed from
+// rng. For fixed seeds the released sequence is pinned to the hashes of
+// the fingerprint tests.
 func PrivateAcc(acc *accountant.Accountant, g *graph.Graph, eps float64, rng *randx.Rand) ([]float64, error) {
 	mech := accountant.LaplaceVec{Sens: GlobalSensitivity, Eps: eps}
 	if err := acc.Charge(Query, mech); err != nil {
 		return nil, err
 	}
 	return Isotonic(mech.Apply(Sorted(g), rng)), nil
-}
-
-// PrivateRaw is Private without the post-processing step; it exists so
-// experiments can quantify how much error constrained inference removes.
-func PrivateRaw(g *graph.Graph, eps float64, rng *randx.Rand) []float64 {
-	return dp.LaplaceVec(Sorted(g), GlobalSensitivity, eps, rng)
 }
 
 // Isotonic returns the L2 projection of x onto non-decreasing sequences

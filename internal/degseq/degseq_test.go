@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dpkron/internal/accountant"
 	"dpkron/internal/graph"
 	"dpkron/internal/randx"
 )
@@ -190,9 +191,12 @@ func TestSortedDegreeSensitivityBound(t *testing.T) {
 func TestPrivateIsMonotoneAndAccurate(t *testing.T) {
 	g := randomGraph(200, 0.1, 3)
 	rng := randx.New(8)
-	priv := Private(g, 1000, rng) // enormous ε: noise negligible
+	priv, err := PrivateAcc(nil, g, 1000, rng) // enormous ε: noise negligible
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !isNonDecreasing(priv) {
-		t.Fatal("Private output not monotone")
+		t.Fatal("PrivateAcc output not monotone")
 	}
 	exact := Sorted(g)
 	for i := range exact {
@@ -209,7 +213,9 @@ func TestPrivatePostprocessingReducesError(t *testing.T) {
 	const trials = 30
 	for i := 0; i < trials; i++ {
 		rng := randx.New(uint64(100 + i))
-		raw := PrivateRaw(g, 0.2, rng)
+		// The raw release: the same Laplace draws without the isotonic
+		// post-processing.
+		raw := accountant.LaplaceVec{Sens: GlobalSensitivity, Eps: 0.2}.Apply(exact, rng)
 		rawErr += sse(raw, exact)
 		postErr += sse(Isotonic(raw), exact)
 	}
@@ -224,11 +230,11 @@ func TestPrivatePostprocessingReducesError(t *testing.T) {
 
 func TestPrivateDeterministicGivenSeed(t *testing.T) {
 	g := randomGraph(50, 0.2, 6)
-	a := Private(g, 0.5, randx.New(42))
-	b := Private(g, 0.5, randx.New(42))
+	a, _ := PrivateAcc(nil, g, 0.5, randx.New(42))
+	b, _ := PrivateAcc(nil, g, 0.5, randx.New(42))
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("Private not deterministic for fixed seed")
+			t.Fatal("PrivateAcc not deterministic for fixed seed")
 		}
 	}
 }

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"testing"
 
+	"dpkron/internal/pipeline"
+	"dpkron/internal/randx"
 	"dpkron/internal/skg"
 )
 
@@ -24,10 +29,8 @@ func smallRegistry() []Dataset {
 }
 
 func TestRunTable1DatasetsWorkerInvariant(t *testing.T) {
-	opts := func(workers int) Table1Options {
-		return Table1Options{KronFitIters: 3, Workers: workers}
-	}
-	base, err := RunTable1Datasets(smallRegistry(), opts(1))
+	opts := Table1Options{KronFitIters: 3}
+	base, err := RunTable1DatasetsCtx(pipeline.New(nil, 1, nil), smallRegistry(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +38,7 @@ func TestRunTable1DatasetsWorkerInvariant(t *testing.T) {
 		t.Fatalf("rows out of order: %+v", base)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := RunTable1Datasets(smallRegistry(), opts(workers))
+		got, err := RunTable1DatasetsCtx(pipeline.New(nil, workers, nil), smallRegistry(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,12 +54,12 @@ func TestRunTable1DatasetsWorkerInvariant(t *testing.T) {
 
 func TestEpsilonSweepWorkerInvariant(t *testing.T) {
 	d := smallDataset()
-	g := d.Generate()
-	base, err := EpsilonSweepWorkers(g, d.K, []float64{0.1, 1}, 0.01, 2, 9, 1)
+	g, _ := d.GenerateCtx(nil)
+	base, err := EpsilonSweepCtx(pipeline.New(nil, 1, nil), g, d.K, []float64{0.1, 1}, 0.01, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EpsilonSweepWorkers(g, d.K, []float64{0.1, 1}, 0.01, 2, 9, 8)
+	got, err := EpsilonSweepCtx(pipeline.New(nil, 8, nil), g, d.K, []float64{0.1, 1}, 0.01, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,5 +67,35 @@ func TestEpsilonSweepWorkerInvariant(t *testing.T) {
 		if got[i] != base[i] {
 			t.Fatalf("row %d: %+v != %+v", i, got[i], base[i])
 		}
+	}
+}
+
+// TestComputeStatsCtxUnderRun checks that every figure panel, the
+// clustering-by-degree panel included, runs inside its Run: the panels
+// are identical at one and three workers, and a cancelled run returns
+// context.Canceled.
+func TestComputeStatsCtxUnderRun(t *testing.T) {
+	d := smallDataset()
+	g, _ := d.GenerateCtx(nil)
+	opts := FigureOptions{ScreeRank: 8}
+	opts.fill()
+	one, err := computeStatsCtx(pipeline.New(nil, 1, nil), g, opts, randx.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one.Clustering.X) == 0 {
+		t.Fatal("empty clustering panel")
+	}
+	three, err := computeStatsCtx(pipeline.New(nil, 3, nil), g, opts, randx.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(one, three) {
+		t.Fatal("panels at workers=3 differ from workers=1")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := computeStatsCtx(pipeline.New(ctx, 3, nil), g, opts, randx.New(3)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run err = %v, want context.Canceled", err)
 	}
 }

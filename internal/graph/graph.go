@@ -10,6 +10,7 @@
 package graph
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -323,12 +324,12 @@ func (b *Builder) Build() *Graph { return b.BuildWorkers(1) }
 
 // BuildWorkers is Build with the sort sharded over up to workers
 // goroutines (<= 0 selects runtime.GOMAXPROCS(0)); the samplers pass
-// their Workers option through so nested parallelism stays under the
-// caller's control. The resulting graph is identical for every worker
+// their run's worker budget through so nested parallelism stays under
+// the caller's control. The resulting graph is identical for every worker
 // count.
 //
 // The edge mentions are ordered with an LSD radix sort on the packed
-// int64 pair keys (parallel.SortInt64) instead of a comparison sort —
+// int64 pair keys (parallel.SortInt64Ctx) instead of a comparison sort —
 // already-sorted input, which the bulk sampler path produces, is
 // detected and skipped — and the resulting graph is identical to what a
 // comparison-sorted Build produced.
@@ -339,7 +340,8 @@ func (b *Builder) BuildWorkers(workers int) *Graph {
 	pairs := b.buf[:len(b.pairs)]
 	copy(pairs, b.pairs)
 	if !slices.IsSorted(pairs) {
-		b.scratch = parallel.SortInt64(workers, pairs, b.scratch)
+		// A background context is never cancelled, so the sort cannot fail.
+		b.scratch, _ = parallel.SortInt64Ctx(context.Background(), workers, pairs, b.scratch)
 	}
 	// Dedupe.
 	uniq := pairs[:0]

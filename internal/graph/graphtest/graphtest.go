@@ -47,7 +47,8 @@ func Kernels() []Case {
 	for _, k := range []int{8, 9} {
 		m := skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: k}
 		for seed := uint64(1); seed <= 2; seed++ {
-			cases = append(cases, Case{fmt.Sprintf("balldrop-k%d-s%d", k, seed), m.SampleBallDrop(randx.New(seed))})
+			g, _ := m.SampleBallDropCtx(nil, randx.New(seed)) // a nil run is never cancelled
+			cases = append(cases, Case{fmt.Sprintf("balldrop-k%d-s%d", k, seed), g})
 		}
 	}
 	return cases

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -96,7 +97,7 @@ func TestLanczosMatchesJacobi(t *testing.T) {
 		m := randomSymmetric(20, rng)
 		dense := JacobiEigen(m) // ascending
 		// Full-dimension Lanczos should recover the whole spectrum.
-		got := TopEigen(DenseOp{M: m}, 20, 20, rng.Split())
+		got, _ := TopEigenCtx(context.Background(), DenseOp{M: m}, 20, 20, rng.Split())
 		sort.Float64s(got)
 		if len(got) != 20 {
 			t.Fatalf("TopEigen returned %d values", len(got))
@@ -114,7 +115,7 @@ func TestTopEigenExtremesOnGraph(t *testing.T) {
 	// Lanczos exhausts the Krylov space after two steps and returns two
 	// Ritz values even though three were requested.
 	g := graph.Complete(10)
-	eig := TopEigen(AdjacencyOp{G: g}, 3, 0, randx.New(5))
+	eig, _ := TopEigenCtx(context.Background(), AdjacencyOp{G: g}, 3, 0, randx.New(5))
 	if len(eig) != 2 {
 		t.Fatalf("K10 Ritz values = %v, want exactly the 2 distinct eigenvalues", eig)
 	}
@@ -130,7 +131,7 @@ func TestPowerIterationStar(t *testing.T) {
 	// Star S_n adjacency is bipartite with λ = ±sqrt(n-1); the shifted
 	// iteration must converge to the positive (Perron) eigenvalue.
 	g := graph.Star(17)
-	lambda, vec := PowerIteration(AdjacencyOp{G: g}, float64(g.MaxDegree()), 1e-12, 5000, randx.New(2))
+	lambda, vec, _ := PowerIterationCtx(context.Background(), AdjacencyOp{G: g}, float64(g.MaxDegree()), 1e-12, 5000, randx.New(2))
 	if math.Abs(lambda-4) > 1e-6 {
 		t.Fatalf("star lambda = %v, want +4", lambda)
 	}
@@ -142,7 +143,7 @@ func TestPowerIterationStar(t *testing.T) {
 
 func TestNetworkValuesSortedAndNormalized(t *testing.T) {
 	g := graph.Complete(8)
-	nv := NetworkValues(g, randx.New(3))
+	nv, _ := NetworkValuesCtx(nil, g, randx.New(3))
 	if len(nv) != 8 {
 		t.Fatalf("len = %d", len(nv))
 	}
@@ -162,7 +163,7 @@ func TestScreeValuesCompleteGraph(t *testing.T) {
 	// K12 has two distinct eigenvalues (11 and -1), so the scree series
 	// collapses to two singular values: 11 and 1.
 	g := graph.Complete(12)
-	sv := ScreeValues(g, 4, randx.New(8))
+	sv, _ := ScreeValuesCtx(nil, g, 4, randx.New(8))
 	if len(sv) != 2 {
 		t.Fatalf("scree = %v, want 2 values", sv)
 	}
@@ -201,11 +202,11 @@ func TestAdjacencyOpMatchesDense(t *testing.T) {
 }
 
 func TestEmptyOperator(t *testing.T) {
-	if got := TopEigen(DenseOp{}, 3, 0, randx.New(1)); got != nil {
-		t.Fatalf("TopEigen on empty = %v", got)
+	if got, _ := TopEigenCtx(context.Background(), DenseOp{}, 3, 0, randx.New(1)); got != nil {
+		t.Fatalf("TopEigenCtx on empty = %v", got)
 	}
-	l, v := PowerIteration(DenseOp{}, 0, 0, 0, randx.New(1))
+	l, v, _ := PowerIterationCtx(context.Background(), DenseOp{}, 0, 0, 0, randx.New(1))
 	if l != 0 || v != nil {
-		t.Fatal("PowerIteration on empty should be zero")
+		t.Fatal("PowerIterationCtx on empty should be zero")
 	}
 }

@@ -53,19 +53,12 @@ func (o *NelderMeadOptions) fill() {
 	}
 }
 
-// NelderMead minimizes f starting from x0 with the standard
+// NelderMeadCtx minimizes f starting from x0 with the standard
 // reflection/expansion/contraction/shrink simplex method
-// (coefficients 1, 2, 0.5, 0.5).
-func NelderMead(f Func, x0 []float64, opts NelderMeadOptions) Result {
-	res, _ := NelderMeadCtx(nil, f, x0, opts)
-	return res
-}
-
-// NelderMeadCtx is NelderMead with cooperative cancellation checked
-// once per simplex iteration: a cancelled context stops the descent and
-// returns ctx.Err() together with the best point seen so far (which the
-// caller must treat as unusable). A nil or never-cancelled context
-// yields exactly the NelderMead result.
+// (coefficients 1, 2, 0.5, 0.5). Cancellation is cooperative, checked
+// once per simplex iteration (ctx may be nil): a cancelled context
+// stops the descent and returns ctx.Err() together with the best point
+// seen so far (which the caller must treat as unusable).
 func NelderMeadCtx(ctx context.Context, f Func, x0 []float64, opts NelderMeadOptions) (Result, error) {
 	opts.fill()
 	if ctx != nil && ctx.Done() == nil {
@@ -200,16 +193,10 @@ func Clamp(x, lo, hi []float64) {
 	}
 }
 
-// GridSearch evaluates f on a regular grid with the given number of
+// GridSearchCtx evaluates f on a regular grid with the given number of
 // points per axis (inclusive of bounds) and returns the best point.
-func GridSearch(f Func, lo, hi []float64, pointsPerAxis int) Result {
-	res, _ := GridSearchCtx(nil, f, lo, hi, pointsPerAxis)
-	return res
-}
-
-// GridSearchCtx is GridSearch with cooperative cancellation checked
-// every 256 evaluations. A nil or never-cancelled context yields
-// exactly the GridSearch result.
+// Cancellation is cooperative, checked every 256 evaluations (ctx may
+// be nil).
 func GridSearchCtx(ctx context.Context, f Func, lo, hi []float64, pointsPerAxis int) (Result, error) {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
@@ -256,33 +243,22 @@ func GridSearchCtx(ctx context.Context, f Func, lo, hi []float64, pointsPerAxis 
 	return best, nil
 }
 
-// MultiStart runs Nelder–Mead from the grid-search optimum and from
+// MultiStartCtx runs Nelder–Mead from the grid-search optimum and from
 // additional random starts inside the box, clamping every candidate into
 // the box via penalty-free projection inside the objective wrapper, and
-// returns the best result found. It is MultiStartWorkers on a single
-// goroutine.
-func MultiStart(f Func, lo, hi []float64, randomStarts, gridPoints int, rng *randx.Rand, nm NelderMeadOptions) Result {
-	return MultiStartWorkers(f, lo, hi, randomStarts, gridPoints, rng, nm, 1)
-}
-
-// MultiStartWorkers runs the grid-seeded Nelder–Mead descent and the
-// random restarts concurrently on up to workers goroutines (<= 0
+// returns the best result found.
+//
+// The descents run concurrently on up to workers goroutines (<= 0
 // selects runtime.GOMAXPROCS(0)). The restart points are drawn from rng
 // serially before any descent begins, the descents are deterministic,
 // and the winner is chosen by scanning results in start order with a
 // strict improvement rule — so the result is identical for every worker
-// count, including the serial MultiStart. f must be safe for concurrent
-// calls.
-func MultiStartWorkers(f Func, lo, hi []float64, randomStarts, gridPoints int, rng *randx.Rand, nm NelderMeadOptions, workers int) Result {
-	res, _ := MultiStartCtx(nil, f, lo, hi, randomStarts, gridPoints, rng, nm, workers)
-	return res
-}
-
-// MultiStartCtx is MultiStartWorkers with cooperative cancellation: the
-// seeding grid search checks the context periodically, the concurrent
-// descents check it between simplex iterations and between starts, and
-// a cancelled context makes the whole call return ctx.Err(). A nil or
-// never-cancelled context yields exactly the MultiStartWorkers result.
+// count. f must be safe for concurrent calls.
+//
+// Cancellation is cooperative (ctx may be nil): the seeding grid search
+// checks the context periodically, the concurrent descents check it
+// between simplex iterations and between starts, and a cancelled
+// context makes the whole call return ctx.Err().
 func MultiStartCtx(ctx context.Context, f Func, lo, hi []float64, randomStarts, gridPoints int, rng *randx.Rand, nm NelderMeadOptions, workers int) (Result, error) {
 	boxed := func(x []float64) float64 {
 		penalty := 0.0

@@ -15,15 +15,19 @@
 //   - Order-sensitive state is attached to shards, not workers:
 //     per-shard RNG streams are derived serially up front (Streams),
 //     and floating-point reductions combine per-shard partials in
-//     shard order (SumFloat64), so neither scheduling nor associativity
+//     shard order (SumFloat64Ctx), so neither scheduling nor associativity
 //     can perturb the outcome.
 //
-// Integer reductions (SumInt64, MaxInt) are associative and would be
+// Integer reductions (SumInt64Ctx) are associative and would be
 // deterministic under any partition; they use the same fixed sharding
 // for uniformity.
+//
+// Every pool helper takes a context.Context (nil means none) and checks
+// it between shards; see RunIndexedCtx.
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -42,8 +46,8 @@ const DefaultShards = 64
 
 // Normalize resolves a worker-count option: values <= 0 select
 // runtime.GOMAXPROCS(0), i.e. "use the hardware". It is the single
-// defaulting rule for every Workers field in the module's Options
-// structs and for pipeline.Run worker budgets.
+// defaulting rule for pipeline.Run worker budgets and every other
+// worker-count setting in the module.
 func Normalize(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -116,65 +120,55 @@ func PairBlocks(n, count int) []Block {
 	return out
 }
 
-// Run executes fn(shard) for every shard in [0, shards) on up to
-// workers goroutines with dynamic (work-stealing counter) scheduling.
+// RunIndexedCtx executes fn(worker, shard) for every shard in
+// [0, shards) on up to workers goroutines with dynamic (work-stealing
+// counter) scheduling, passing the executing worker's index (in
+// [0, workers)) alongside the shard. It is the package's one pool loop.
 // Shards may run concurrently and in any order; fn must tolerate that.
 // With workers <= 1 (or a single shard) everything runs on the calling
 // goroutine, which is the serial baseline the benchmarks compare
 // against.
-func Run(workers, shards int, fn func(shard int)) {
+//
+// Cancellation is cooperative and shard-grained: when ctx carries a
+// cancellation signal, workers check it between shards (never inside
+// fn), so a live context costs one Err() call per shard and a cancelled
+// one stops the pool at the next shard boundary. A nil ctx, or one with
+// Done() == nil (context.Background()), skips the checks. The call
+// returns nil after every shard executed, so the result is the same as
+// for any other worker count; it returns ctx.Err() if cancellation was
+// observed before some claimed shard ran (that shard and any unclaimed
+// ones are skipped), and the partial output must then be discarded.
+//
+// The worker index is for commutative reductions that want dynamic
+// shard balancing but per-worker accumulators or scratch buffers:
+// allocate `workers` buffers, let any worker process any shard, and
+// merge afterwards. Only reductions that are invariant to shard→worker
+// assignment (integer sums, maxima) should use it; order-sensitive
+// reductions belong on the per-shard helpers.
+func RunIndexedCtx(ctx context.Context, workers, shards int, fn func(worker, shard int)) error {
+	live := ctx != nil && ctx.Done() != nil
 	if shards <= 0 {
-		return
-	}
-	if workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		for s := 0; s < shards; s++ {
-			fn(s)
+		if live {
+			return ctx.Err()
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= shards {
-					return
-				}
-				fn(s)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// RunIndexed is Run with the executing worker's index (in [0, workers))
-// passed to fn alongside the shard. It exists for commutative
-// reductions that want dynamic shard balancing but per-worker
-// accumulators or scratch buffers: allocate `workers` buffers, let any
-// worker process any shard, and merge afterwards. Only reductions that
-// are invariant to shard→worker assignment (integer sums, maxima)
-// should use it; order-sensitive reductions belong on the per-shard
-// helpers.
-func RunIndexed(workers, shards int, fn func(worker, shard int)) {
-	if shards <= 0 {
-		return
+		return nil
 	}
 	if workers > shards {
 		workers = shards
 	}
 	if workers <= 1 {
 		for s := 0; s < shards; s++ {
+			if live {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
 			fn(0, s)
 		}
-		return
+		return nil
 	}
 	var next atomic.Int64
+	var aborted atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -185,64 +179,69 @@ func RunIndexed(workers, shards int, fn func(worker, shard int)) {
 				if s >= shards {
 					return
 				}
+				if live && ctx.Err() != nil {
+					aborted.Store(true)
+					return
+				}
 				fn(worker, s)
 			}
 		}(w)
 	}
 	wg.Wait()
+	if aborted.Load() {
+		return ctx.Err()
+	}
+	return nil
 }
 
-// ForBlocks runs fn over the fixed DefaultShards-way split of [0, n)
-// on up to workers goroutines. fn receives the shard index and its
-// range; writes to disjoint ranges need no synchronization.
-func ForBlocks(workers, n int, fn func(shard, lo, hi int)) {
+// RunCtx is RunIndexedCtx for callers that do not need the worker
+// index.
+func RunCtx(ctx context.Context, workers, shards int, fn func(shard int)) error {
+	return RunIndexedCtx(ctx, workers, shards, func(_, s int) { fn(s) })
+}
+
+// ForBlocksCtx runs fn over the fixed DefaultShards-way split of [0, n)
+// on up to workers goroutines, with the cancellation contract of
+// RunIndexedCtx. fn receives the shard index and its range; writes to
+// disjoint ranges need no synchronization.
+func ForBlocksCtx(ctx context.Context, workers, n int, fn func(shard, lo, hi int)) error {
 	blocks := Blocks(n, DefaultShards)
-	Run(workers, len(blocks), func(s int) { fn(s, blocks[s].Lo, blocks[s].Hi) })
+	return RunCtx(ctx, workers, len(blocks), func(s int) { fn(s, blocks[s].Lo, blocks[s].Hi) })
 }
 
-// SumInt64 reduces fn over the fixed DefaultShards-way split of [0, n).
-// Integer addition is associative, so the result equals the serial sum
-// for every worker count.
-func SumInt64(workers, n int, fn func(lo, hi int) int64) int64 {
+// SumInt64Ctx reduces fn over the fixed DefaultShards-way split of
+// [0, n). Integer addition is associative, so a completed sum equals
+// the serial sum for every worker count; the partial sum of a cancelled
+// run is not returned.
+func SumInt64Ctx(ctx context.Context, workers, n int, fn func(lo, hi int) int64) (int64, error) {
 	blocks := Blocks(n, DefaultShards)
 	part := make([]int64, len(blocks))
-	Run(workers, len(blocks), func(s int) { part[s] = fn(blocks[s].Lo, blocks[s].Hi) })
+	if err := RunCtx(ctx, workers, len(blocks), func(s int) { part[s] = fn(blocks[s].Lo, blocks[s].Hi) }); err != nil {
+		return 0, err
+	}
 	var total int64
 	for _, p := range part {
 		total += p
 	}
-	return total
+	return total, nil
 }
 
-// SumFloat64 reduces fn over the fixed DefaultShards-way split of
+// SumFloat64Ctx reduces fn over the fixed DefaultShards-way split of
 // [0, n), combining the per-shard partials in shard order. Because the
 // shard boundaries depend only on n and the reduction order is fixed,
-// the (non-associative) floating-point result is bit-identical for
-// every worker count — including workers = 1.
-func SumFloat64(workers, n int, fn func(lo, hi int) float64) float64 {
+// the (non-associative) floating-point result of a completed sum is
+// bit-identical for every worker count — including workers = 1.
+func SumFloat64Ctx(ctx context.Context, workers, n int, fn func(lo, hi int) float64) (float64, error) {
 	blocks := Blocks(n, DefaultShards)
 	part := make([]float64, len(blocks))
-	Run(workers, len(blocks), func(s int) { part[s] = fn(blocks[s].Lo, blocks[s].Hi) })
+	if err := RunCtx(ctx, workers, len(blocks), func(s int) { part[s] = fn(blocks[s].Lo, blocks[s].Hi) }); err != nil {
+		return 0, err
+	}
 	total := 0.0
 	for _, p := range part {
 		total += p
 	}
-	return total
-}
-
-// MaxInt reduces fn over the fixed DefaultShards-way split of [0, n)
-// by maximum, returning zero for n <= 0.
-func MaxInt(workers, n int, fn func(lo, hi int) int) int {
-	blocks := Blocks(n, DefaultShards)
-	part := make([]int, len(blocks))
-	Run(workers, len(blocks), func(s int) { part[s] = fn(blocks[s].Lo, blocks[s].Hi) })
-	best := 0
-	for _, p := range part {
-		if p > best {
-			best = p
-		}
-	}
-	return best
+	return total, nil
 }
 
 // Streams derives count independent random sub-streams from rng by

@@ -1,6 +1,9 @@
 package parallel
 
 import (
+	"context"
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -79,7 +82,9 @@ func TestRunVisitsEveryShardOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		const shards = 37
 		var hits [shards]atomic.Int32
-		Run(workers, shards, func(s int) { hits[s].Add(1) })
+		if err := RunCtx(context.Background(), workers, shards, func(s int) { hits[s].Add(1) }); err != nil {
+			t.Fatal(err)
+		}
 		for s := range hits {
 			if hits[s].Load() != 1 {
 				t.Fatalf("workers=%d: shard %d visited %d times", workers, s, hits[s].Load())
@@ -93,12 +98,14 @@ func TestRunIndexedVisitsEveryShardWithValidWorker(t *testing.T) {
 		const shards = 29
 		var hits [shards]atomic.Int32
 		var badWorker atomic.Bool
-		RunIndexed(workers, shards, func(worker, s int) {
+		if err := RunIndexedCtx(context.Background(), workers, shards, func(worker, s int) {
 			if worker < 0 || worker >= workers {
 				badWorker.Store(true)
 			}
 			hits[s].Add(1)
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		if badWorker.Load() {
 			t.Fatalf("workers=%d: worker index out of range", workers)
 		}
@@ -114,14 +121,14 @@ func TestSumInt64MatchesSerial(t *testing.T) {
 	n := 1000
 	want := int64(n) * int64(n-1) / 2 // sum of 0..n-1
 	for _, workers := range []int{1, 4, 8} {
-		got := SumInt64(workers, n, func(lo, hi int) int64 {
+		got, err := SumInt64Ctx(context.Background(), workers, n, func(lo, hi int) int64 {
 			var s int64
 			for i := lo; i < hi; i++ {
 				s += int64(i)
 			}
 			return s
 		})
-		if got != want {
+		if err != nil || got != want {
 			t.Fatalf("workers=%d: sum = %d, want %d", workers, got, want)
 		}
 	}
@@ -136,27 +143,11 @@ func TestSumFloat64WorkerInvariant(t *testing.T) {
 		}
 		return s
 	}
-	base := SumFloat64(1, n, f)
+	base, _ := SumFloat64Ctx(context.Background(), 1, n, f)
 	for _, workers := range []int{2, 4, 8, 32} {
-		if got := SumFloat64(workers, n, f); got != base {
+		if got, _ := SumFloat64Ctx(context.Background(), workers, n, f); got != base {
 			t.Fatalf("workers=%d: %v != %v (must be bit-identical)", workers, got, base)
 		}
-	}
-}
-
-func TestMaxInt(t *testing.T) {
-	vals := []int{3, 9, 2, 7, 9, 1}
-	got := MaxInt(4, len(vals), func(lo, hi int) int {
-		best := 0
-		for i := lo; i < hi; i++ {
-			if vals[i] > best {
-				best = vals[i]
-			}
-		}
-		return best
-	})
-	if got != 9 {
-		t.Fatalf("MaxInt = %d, want 9", got)
 	}
 }
 
@@ -170,5 +161,134 @@ func TestStreamsIndependentOfConsumption(t *testing.T) {
 		if a[i].Float64() != b[i].Float64() {
 			t.Fatal("streams are not independent of sibling consumption")
 		}
+	}
+}
+
+func cancelledCtx() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+func TestRunCtxBackgroundMatchesRun(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var sum atomic.Int64
+		if err := RunCtx(context.Background(), workers, 100, func(s int) { sum.Add(int64(s)) }); err != nil {
+			t.Fatal(err)
+		}
+		if sum.Load() != 4950 {
+			t.Errorf("workers=%d: sum = %d, want 4950", workers, sum.Load())
+		}
+	}
+	// nil context takes the same fast path.
+	ran := 0
+	if err := RunCtx(nil, 1, 3, func(int) { ran++ }); err != nil || ran != 3 {
+		t.Errorf("nil ctx: ran=%d err=%v", ran, err)
+	}
+}
+
+func TestRunCtxPreCancelled(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ran := atomic.Int64{}
+		err := RunCtx(cancelledCtx(), workers, 1000, func(int) { ran.Add(1) })
+		if err != context.Canceled {
+			t.Errorf("workers=%d: err = %v, want Canceled", workers, err)
+		}
+		if ran.Load() != 0 {
+			t.Errorf("workers=%d: %d shards ran on a pre-cancelled ctx", workers, ran.Load())
+		}
+	}
+}
+
+func TestRunCtxMidRunCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var ran atomic.Int64
+	err := RunCtx(ctx, 4, 10000, func(s int) {
+		if ran.Add(1) == 10 {
+			cancel()
+		}
+	})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want Canceled", err)
+	}
+	if n := ran.Load(); n >= 10000 {
+		t.Errorf("all %d shards ran despite cancellation", n)
+	}
+}
+
+func TestRunIndexedCtxPreCancelled(t *testing.T) {
+	var ran atomic.Int64
+	if err := RunIndexedCtx(cancelledCtx(), 4, 100, func(w, s int) { ran.Add(1) }); err != context.Canceled {
+		t.Fatalf("err = %v", err)
+	}
+	if ran.Load() != 0 {
+		t.Errorf("%d shards ran", ran.Load())
+	}
+}
+
+func TestReductionCtxVariantsMatchPlain(t *testing.T) {
+	n := 10000
+	fI := func(lo, hi int) int64 { return int64(hi - lo) }
+	fF := func(lo, hi int) float64 { return float64(hi-lo) * 1.5 }
+	live, cancelLive := context.WithCancel(context.Background())
+	defer cancelLive()
+	for _, workers := range []int{1, 4} {
+		si, err := SumInt64Ctx(live, workers, n, fI)
+		if want, _ := SumInt64Ctx(context.Background(), workers, n, fI); err != nil || si != want {
+			t.Errorf("SumInt64Ctx = %d, %v", si, err)
+		}
+		sf, err := SumFloat64Ctx(live, workers, n, fF)
+		if want, _ := SumFloat64Ctx(context.Background(), workers, n, fF); err != nil || sf != want {
+			t.Errorf("SumFloat64Ctx = %v, %v", sf, err)
+		}
+	}
+	if _, err := SumInt64Ctx(cancelledCtx(), 2, n, fI); err != context.Canceled {
+		t.Errorf("SumInt64Ctx pre-cancelled err = %v", err)
+	}
+	if _, err := SumFloat64Ctx(cancelledCtx(), 2, n, fF); err != context.Canceled {
+		t.Errorf("SumFloat64Ctx pre-cancelled err = %v", err)
+	}
+	if err := ForBlocksCtx(cancelledCtx(), 2, n, func(s, lo, hi int) {}); err != context.Canceled {
+		t.Errorf("ForBlocksCtx pre-cancelled err = %v", err)
+	}
+}
+
+func TestSortInt64CtxMatchesPlain(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	live, cancelLive := context.WithCancel(context.Background())
+	defer cancelLive()
+	for _, n := range []int{0, 10, 1000, 1 << 16} {
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = rng.Int63()
+		}
+		want := append([]int64(nil), keys...)
+		SortInt64Ctx(context.Background(), 2, want, nil)
+
+		got := append([]int64(nil), keys...)
+		if _, err := SortInt64Ctx(live, 2, got, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: ctx sort diverged", n)
+		}
+		// Serial ctx path too.
+		got2 := append([]int64(nil), keys...)
+		if _, err := SortInt64Ctx(live, 1, got2, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got2, want) {
+			t.Fatalf("n=%d: serial ctx sort diverged", n)
+		}
+	}
+}
+
+func TestSortInt64CtxPreCancelled(t *testing.T) {
+	keys := make([]int64, 1<<16)
+	for i := range keys {
+		keys[i] = int64(len(keys) - i)
+	}
+	if _, err := SortInt64Ctx(cancelledCtx(), 4, keys, nil); err != context.Canceled {
+		t.Fatalf("err = %v, want Canceled", err)
 	}
 }

@@ -14,6 +14,8 @@ package parallel
 // scatter is stable and its output depends only on the input, so — like
 // every helper here — the result is identical for every worker count.
 
+import "context"
+
 const (
 	radixBuckets = 256
 	// radixSerialMin is the input size below which the sharded path's
@@ -25,30 +27,39 @@ const (
 	insertionMax = 48
 )
 
-// SortInt64 sorts keys ascending in place. All keys must be
+// SortInt64Ctx sorts keys ascending in place. All keys must be
 // non-negative (the packed-pair encodings used in this module always
 // are; negative keys would order after positive ones). scratch is an
 // optional reusable buffer: it is grown as needed and returned so
 // callers with repeated sorts can avoid reallocating. The sorted result
 // is identical for every worker count (workers <= 0 selects
 // runtime.GOMAXPROCS(0)).
-func SortInt64(workers int, keys, scratch []int64) []int64 {
+//
+// Cancellation is cooperative: a ctx carrying a cancellation signal is
+// checked between radix passes (each pass is O(n)) and between the
+// shards of the parallel passes. On cancellation the keys are left
+// partially sorted and ctx.Err() is returned; with a nil ctx the error
+// is always nil.
+func SortInt64Ctx(ctx context.Context, workers int, keys, scratch []int64) ([]int64, error) {
 	n := len(keys)
 	if cap(scratch) < n {
 		scratch = make([]int64, n)
 	}
 	scratch = scratch[:n]
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return scratch, err
+		}
+	}
 	if n <= insertionMax {
 		insertionSortInt64(keys)
-		return scratch
+		return scratch, nil
 	}
 	w := Normalize(workers)
 	if w <= 1 || n < radixSerialMin {
-		radixSortSerial(keys, scratch)
-		return scratch
+		return scratch, radixSortSerial(ctx, keys, scratch)
 	}
-	radixSortParallel(w, keys, scratch)
-	return scratch
+	return scratch, radixSortParallel(ctx, w, keys, scratch)
 }
 
 func insertionSortInt64(keys []int64) {
@@ -76,7 +87,7 @@ func activeDigits(or, and uint64) int {
 	return active
 }
 
-func radixSortSerial(keys, scratch []int64) {
+func radixSortSerial(ctx context.Context, keys, scratch []int64) error {
 	var or uint64
 	and := ^uint64(0)
 	for _, k := range keys {
@@ -89,6 +100,14 @@ func radixSortSerial(keys, scratch []int64) {
 	for d := 0; d < 8; d++ {
 		if active&(1<<d) == 0 {
 			continue
+		}
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				if &src[0] != &keys[0] {
+					copy(keys, src)
+				}
+				return err
+			}
 		}
 		shift := 8 * uint(d)
 		for i := range count {
@@ -113,15 +132,19 @@ func radixSortSerial(keys, scratch []int64) {
 	if &src[0] != &keys[0] {
 		copy(keys, src)
 	}
+	return nil
 }
 
-func radixSortParallel(workers int, keys, scratch []int64) {
+// radixSortParallel shards each pass; the or/and pre-pass and the
+// histogram fan-out of each pass check ctx between shards, and a pass
+// whose fan-out aborted stops the sort.
+func radixSortParallel(ctx context.Context, workers int, keys, scratch []int64) error {
 	n := len(keys)
 	blocks := Blocks(n, DefaultShards)
 	S := len(blocks)
 	ors := make([]uint64, S)
 	ands := make([]uint64, S)
-	Run(workers, S, func(s int) {
+	if err := RunCtx(ctx, workers, S, func(s int) {
 		var or uint64
 		and := ^uint64(0)
 		for _, k := range keys[blocks[s].Lo:blocks[s].Hi] {
@@ -129,7 +152,9 @@ func radixSortParallel(workers int, keys, scratch []int64) {
 			and &= uint64(k)
 		}
 		ors[s], ands[s] = or, and
-	})
+	}); err != nil {
+		return err
+	}
 	var or uint64
 	and := ^uint64(0)
 	for s := 0; s < S; s++ {
@@ -140,12 +165,17 @@ func radixSortParallel(workers int, keys, scratch []int64) {
 
 	src, dst := keys, scratch
 	hist := make([]int, S*radixBuckets)
+	restore := func() {
+		if &src[0] != &keys[0] {
+			copy(keys, src)
+		}
+	}
 	for d := 0; d < 8; d++ {
 		if active&(1<<d) == 0 {
 			continue
 		}
 		shift := 8 * uint(d)
-		Run(workers, S, func(s int) {
+		if err := RunCtx(ctx, workers, S, func(s int) {
 			h := hist[s*radixBuckets : (s+1)*radixBuckets]
 			for i := range h {
 				h[i] = 0
@@ -153,7 +183,10 @@ func radixSortParallel(workers int, keys, scratch []int64) {
 			for _, k := range src[blocks[s].Lo:blocks[s].Hi] {
 				h[byte(uint64(k)>>shift)]++
 			}
-		})
+		}); err != nil {
+			restore()
+			return err
+		}
 		// Exclusive prefix in (bucket, shard) order: shard s scatters
 		// its bucket-b keys after every lower bucket and after the
 		// bucket-b keys of lower shards, which is exactly the stable
@@ -167,7 +200,11 @@ func radixSortParallel(workers int, keys, scratch []int64) {
 				total += c
 			}
 		}
-		Run(workers, S, func(s int) {
+		// The scatter must run to completion once started: an aborted
+		// scatter would leave dst holding a mix of old and new keys, so
+		// it runs without a cancellation signal (the histogram check
+		// gates it) and cannot fail.
+		RunCtx(context.Background(), workers, S, func(s int) {
 			h := hist[s*radixBuckets : (s+1)*radixBuckets]
 			for _, k := range src[blocks[s].Lo:blocks[s].Hi] {
 				b := byte(uint64(k) >> shift)
@@ -177,9 +214,8 @@ func radixSortParallel(workers int, keys, scratch []int64) {
 		})
 		src, dst = dst, src
 	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
+	restore()
+	return nil
 }
 
 // MergeSortedInt64 merges ascending-sorted b into ascending-sorted a

@@ -1,13 +1,14 @@
 package parallel
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"dpkron/internal/randx"
 )
 
-// TestSortInt64MatchesReference drives SortInt64 against sort.Slice on
+// TestSortInt64MatchesReference drives SortInt64Ctx against sort.Slice on
 // inputs chosen to hit every code path: the insertion-sort tail, the
 // serial radix path, the sharded radix path (explicit workers > 1 so it
 // runs even on a single-CPU machine), duplicate-heavy streams, and
@@ -50,7 +51,7 @@ func TestSortInt64MatchesReference(t *testing.T) {
 				keys := gen(n, mode)
 				want := append([]int64(nil), keys...)
 				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-				scratch = SortInt64(workers, keys, scratch)
+				scratch, _ = SortInt64Ctx(context.Background(), workers, keys, scratch)
 				for i := range keys {
 					if keys[i] != want[i] {
 						t.Fatalf("n=%d mode=%s workers=%d: keys[%d] = %d, want %d",
@@ -70,7 +71,7 @@ func TestSortInt64ScratchReuse(t *testing.T) {
 		for i := range keys {
 			keys[i] = int64(rng.IntN(1 << 30))
 		}
-		scratch = SortInt64(4, keys, scratch)
+		scratch, _ = SortInt64Ctx(context.Background(), 4, keys, scratch)
 		if len(scratch) < n {
 			t.Fatalf("scratch not grown to %d", n)
 		}

@@ -1,6 +1,7 @@
 package skg
 
 import (
+	"context"
 	"testing"
 
 	"dpkron/internal/graph"
@@ -39,7 +40,7 @@ func (m Model) sampleBallDropNRef(rng *randx.Rand, target, workers int) *graph.G
 		return q
 	}
 	parts := make([][]int64, shards)
-	parallel.Run(parallel.Normalize(workers), shards, func(s int) {
+	parallel.RunCtx(context.Background(), parallel.Normalize(workers), shards, func(s int) {
 		r := rngs[s]
 		q := quota(s)
 		local := make(map[int64]struct{}, 2*q)
@@ -124,7 +125,7 @@ func TestSampleBallDropMatchesMapReference(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				want := m.sampleBallDropNRef(randx.New(seed), target, 1)
 				for _, workers := range []int{1, 4} {
-					got := m.SampleBallDropNWorkers(randx.New(seed), target, workers)
+					got := must(m.SampleBallDropNCtx(at(workers), randx.New(seed), target))
 					if !got.Equal(want) {
 						t.Fatalf("init=%v k=%d target=%d seed=%d workers=%d: graph differs from map-based reference",
 							c.init, c.k, target, seed, workers)

@@ -185,31 +185,18 @@ func (m Model) ExpectedFeatures() stats.Features {
 	return stats.Features{E: e, H: h, T: t, Delta: delta}
 }
 
-// SampleExact draws an undirected simple graph from the model by
+// SampleExactCtx draws an undirected simple graph from the model by
 // flipping an independent coin for every node pair {u, v}, u > v, with
-// bias P_uv. It costs O(n²·K) time and is exact; prefer SampleBallDrop
-// beyond K ≈ 13. It runs on all cores (equivalent to
-// SampleExactWorkers with workers = 0).
-func (m Model) SampleExact(rng *randx.Rand) *graph.Graph {
-	return m.SampleExactWorkers(rng, 0)
-}
-
-// SampleExactWorkers is SampleExact sharded over row blocks of the
-// lower triangle on up to workers goroutines (<= 0 selects
-// runtime.GOMAXPROCS(0)). The pair loop is split into a fixed number of
-// pair-balanced row blocks, each driven by its own random stream
-// derived serially from rng, so for a given seed the sampled edge set
-// is identical for every worker count.
-func (m Model) SampleExactWorkers(rng *randx.Rand, workers int) *graph.Graph {
-	g, _ := m.SampleExactCtx(pipeline.New(nil, workers, nil), rng)
-	return g
-}
-
-// SampleExactCtx is SampleExact under a pipeline Run: the worker budget
-// comes from run, the pair-block fan-out checks the context between
-// shards, and a "sample-exact" stage event pair is emitted. A run that
-// is never cancelled samples the exact graph SampleExactWorkers
-// produces for the same seed; a cancelled run returns run.Err().
+// bias P_uv. It costs O(n²·K) time and is exact; prefer
+// SampleBallDropCtx beyond K ≈ 13.
+//
+// The pair loop is split into a fixed number of pair-balanced row
+// blocks of the lower triangle, each driven by its own random stream
+// derived serially from rng, and the blocks run on the run's worker
+// budget, so for a given seed the sampled edge set is identical for
+// every worker count. The fan-out checks the run's context between
+// shards (a cancelled run returns run.Err()), and a "sample-exact"
+// stage event pair is emitted.
 func (m Model) SampleExactCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph, error) {
 	done := run.Stage("sample-exact")
 	n := m.NumNodes()
@@ -254,25 +241,6 @@ func (m Model) SampleExactCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph,
 	return g, nil
 }
 
-// SampleBallDrop draws an undirected simple graph with approximately the
-// model's expected edge count using Kronecker ball dropping (the
-// standard fast generator, as in SNAP's krongen): each drop descends K
-// levels choosing an initiator quadrant with probability proportional to
-// its entry; self-loops and duplicate pairs are re-dropped. The
-// per-pair inclusion probabilities are proportional to P_uv, so the
-// realized graph approximates the SKG distribution conditioned on its
-// edge count; the paper's experiments depend only on this regime.
-func (m Model) SampleBallDrop(rng *randx.Rand) *graph.Graph {
-	return m.SampleBallDropWorkers(rng, 0)
-}
-
-// SampleBallDropN is SampleBallDrop with an explicit target edge count.
-// It runs on all cores (equivalent to SampleBallDropNWorkers with
-// workers = 0).
-func (m Model) SampleBallDropN(rng *randx.Rand, target int) *graph.Graph {
-	return m.SampleBallDropNWorkers(rng, target, 0)
-}
-
 // dropPair performs one ball drop: a K-level descent choosing an
 // initiator quadrant per level with probability proportional to its
 // entry (pa and pb are the normalized A and B entries). It consumes
@@ -299,7 +267,7 @@ func (m Model) dropPair(r *randx.Rand, pa, pb float64) (u, v int) {
 // maxAttempts drops have been made, and returns the accepted keys as a
 // sorted slice. Duplicate elimination is map-free: candidates are
 // gathered in rounds sized to the remaining need, each round is sorted
-// and deduplicated (parallel.SortInt64 on the packed keys) and merged
+// and deduplicated (parallel.SortInt64Ctx on the packed keys) and merged
 // into the sorted accepted set, and per-drop membership tests are
 // binary searches against that set.
 //
@@ -325,29 +293,30 @@ func (m Model) dropUnique(ctx context.Context, r *randx.Rand, pa, pb float64, ne
 	return accepted
 }
 
-// SampleBallDropNWorkers shards ball dropping over per-shard edge
-// quotas on up to workers goroutines (<= 0 selects
-// runtime.GOMAXPROCS(0)). The target is split across a fixed number of
-// shards, each dropping its quota with a private random stream and
-// shard-local sort-and-dedup duplicate elimination (dropUnique); the
-// shards' sorted keys are then merged with a global radix-sort dedup
-// pass, and a final serial top-up stream replaces the few edges lost
-// to cross-shard collisions. The shard count, every stream derivation,
-// the per-stream drop order, and the top-up semantics depend only on
-// the model and target, so for a given seed the sampled graph is
-// identical for every worker count — and identical to what the
-// historical map-based dedup produced.
-func (m Model) SampleBallDropNWorkers(rng *randx.Rand, target, workers int) *graph.Graph {
-	g, _ := m.SampleBallDropNCtx(pipeline.New(nil, workers, nil), rng, target)
-	return g
-}
-
-// SampleBallDropNCtx is SampleBallDropN under a pipeline Run: the
-// worker budget comes from run, the per-shard quota fan-out and the
-// dedup sort check the context between shards, the serial top-up checks
-// it between rounds, and a "sample-ball-drop" stage event pair is
-// emitted. A run that is never cancelled samples the exact graph
-// SampleBallDropNWorkers produces for the same seed; a cancelled run
+// SampleBallDropNCtx draws an undirected simple graph with target
+// edges using Kronecker ball dropping (the standard fast generator, as
+// in SNAP's krongen): each drop descends K levels choosing an initiator
+// quadrant with probability proportional to its entry; self-loops and
+// duplicate pairs are re-dropped. The per-pair inclusion probabilities
+// are proportional to P_uv, so the realized graph approximates the SKG
+// distribution conditioned on its edge count; the paper's experiments
+// depend only on this regime.
+//
+// Ball dropping is sharded over per-shard edge quotas on the run's
+// worker budget. The target is split across a fixed number of shards,
+// each dropping its quota with a private random stream and shard-local
+// sort-and-dedup duplicate elimination (dropUnique); the shards' sorted
+// keys are then merged with a global radix-sort dedup pass, and a final
+// serial top-up stream replaces the few edges lost to cross-shard
+// collisions. The shard count, every stream derivation, the per-stream
+// drop order, and the top-up semantics depend only on the model and
+// target, so for a given seed the sampled graph is identical for every
+// worker count — and identical to what the historical map-based dedup
+// produced.
+//
+// The quota fan-out and the dedup sort check the run's context between
+// shards, the serial top-up checks it between rounds, and a
+// "sample-ball-drop" stage event pair is emitted; a cancelled run
 // returns run.Err().
 func (m Model) SampleBallDropNCtx(run *pipeline.Run, rng *randx.Rand, target int) (*graph.Graph, error) {
 	done := run.Stage("sample-ball-drop")
@@ -427,23 +396,10 @@ func (m Model) SampleBallDropNCtx(run *pipeline.Run, rng *randx.Rand, target int
 	return g, nil
 }
 
-// Sample draws a graph using the exact sampler for K <= 13 and ball
+// SampleCtx draws a graph using the exact sampler for K <= 13 and ball
 // dropping otherwise. This matches how the experiment harness treats
 // "original" graphs (exact) versus bulk synthetic realizations (fast).
-func (m Model) Sample(rng *randx.Rand) *graph.Graph {
-	return m.SampleWorkers(rng, 0)
-}
-
-// SampleWorkers is Sample with an explicit worker count (<= 0 selects
-// runtime.GOMAXPROCS(0)); the sampled graph is identical for every
-// worker count.
-func (m Model) SampleWorkers(rng *randx.Rand, workers int) *graph.Graph {
-	g, _ := m.SampleCtx(pipeline.New(nil, workers, nil), rng)
-	return g
-}
-
-// SampleCtx is Sample under a pipeline Run (see SampleExactCtx and
-// SampleBallDropNCtx for the cancellation contract).
+// See SampleExactCtx and SampleBallDropNCtx for the run contract.
 func (m Model) SampleCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph, error) {
 	if m.K <= 13 {
 		return m.SampleExactCtx(run, rng)
@@ -451,14 +407,8 @@ func (m Model) SampleCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph, erro
 	return m.SampleBallDropCtx(run, rng)
 }
 
-// SampleBallDropWorkers is SampleBallDrop with an explicit worker count.
-func (m Model) SampleBallDropWorkers(rng *randx.Rand, workers int) *graph.Graph {
-	g, _ := m.SampleBallDropCtx(pipeline.New(nil, workers, nil), rng)
-	return g
-}
-
-// SampleBallDropCtx is SampleBallDrop under a pipeline Run (see
-// SampleBallDropNCtx for the cancellation contract).
+// SampleBallDropCtx is SampleBallDropNCtx at the model's expected edge
+// count.
 func (m Model) SampleBallDropCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph, error) {
 	target := int(math.Round(m.ExpectedFeatures().E))
 	return m.SampleBallDropNCtx(run, rng, target)

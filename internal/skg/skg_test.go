@@ -5,9 +5,29 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dpkron/internal/graph"
+	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 	"dpkron/internal/stats"
 )
+
+// at returns a never-cancelled run on the given worker budget.
+func at(workers int) *pipeline.Run { return pipeline.New(nil, workers, nil) }
+
+// must unwraps a sampler result. The runs of these tests are never
+// cancelled, so an error is a bug.
+func must(g *graph.Graph, err error) *graph.Graph {
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// features returns the exact features of g at a nil run.
+func features(g *graph.Graph) stats.Features {
+	f, _ := stats.FeaturesOfCtx(nil, g)
+	return f
+}
 
 // --- brute-force expectations computed directly from the explicit P ---
 
@@ -175,8 +195,8 @@ func TestSampleExactMatchesExpectations(t *testing.T) {
 	const trials = 60
 	var sumE, sumH, sumD float64
 	for i := 0; i < trials; i++ {
-		g := m.SampleExact(rng)
-		f := stats.FeaturesOf(g)
+		g := must(m.SampleExactCtx(nil, rng))
+		f := features(g)
 		sumE += f.E
 		sumH += f.H
 		sumD += f.Delta
@@ -195,7 +215,7 @@ func TestSampleExactMatchesExpectations(t *testing.T) {
 
 func TestSampleExactIsValidSimpleGraph(t *testing.T) {
 	m := mustModel(t, 0.9, 0.6, 0.3, 7)
-	g := m.SampleExact(randx.New(7))
+	g := must(m.SampleExactCtx(nil, randx.New(7)))
 	if g.NumNodes() != 128 {
 		t.Fatalf("nodes = %d, want 128", g.NumNodes())
 	}
@@ -206,7 +226,7 @@ func TestSampleExactIsValidSimpleGraph(t *testing.T) {
 
 func TestSampleBallDropEdgeCount(t *testing.T) {
 	m := mustModel(t, 0.99, 0.55, 0.35, 10)
-	g := m.SampleBallDrop(randx.New(9))
+	g := must(m.SampleBallDropCtx(nil, randx.New(9)))
 	want := int(math.Round(m.ExpectedFeatures().E))
 	if g.NumEdges() != want {
 		t.Fatalf("ball drop edges = %d, want %d", g.NumEdges(), want)
@@ -224,8 +244,8 @@ func TestSampleBallDropStatisticsTrackExact(t *testing.T) {
 	const trials = 20
 	var hExact, hDrop, dExact, dDrop float64
 	for i := 0; i < trials; i++ {
-		fe := stats.FeaturesOf(m.SampleExact(rngA))
-		fd := stats.FeaturesOf(m.SampleBallDrop(rngB))
+		fe := features(must(m.SampleExactCtx(nil, rngA)))
+		fd := features(must(m.SampleBallDropCtx(nil, rngB)))
 		hExact += fe.H
 		hDrop += fd.H
 		dExact += fe.Delta
@@ -241,7 +261,7 @@ func TestSampleBallDropStatisticsTrackExact(t *testing.T) {
 
 func TestSampleBallDropZeroMass(t *testing.T) {
 	m := mustModel(t, 0, 0, 0, 5)
-	g := m.SampleBallDrop(randx.New(1))
+	g := must(m.SampleBallDropCtx(nil, randx.New(1)))
 	if g.NumEdges() != 0 {
 		t.Fatalf("zero-mass initiator produced %d edges", g.NumEdges())
 	}
@@ -249,7 +269,7 @@ func TestSampleBallDropZeroMass(t *testing.T) {
 
 func TestSampleDispatch(t *testing.T) {
 	m := mustModel(t, 0.9, 0.4, 0.2, 6)
-	g := m.Sample(randx.New(2))
+	g := must(m.SampleCtx(nil, randx.New(2)))
 	if g.NumNodes() != 64 {
 		t.Fatal("Sample produced wrong node count")
 	}

@@ -244,7 +244,9 @@ func (m Model) dropUniqueFn(ctx context.Context, r *randx.Rand, pa, pb float64, 
 			}
 			cand = append(cand, key)
 		}
-		scratch = parallel.SortInt64(1, cand, scratch)
+		// A background context is never cancelled, so the sort cannot fail;
+		// dropUniqueFn checks ctx between rounds itself.
+		scratch, _ = parallel.SortInt64Ctx(context.Background(), 1, cand, scratch)
 		cand = slices.Compact(cand)
 		accepted = parallel.MergeSortedInt64(accepted, cand)
 	}

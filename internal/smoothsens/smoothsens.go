@@ -29,8 +29,14 @@ import (
 	"dpkron/internal/stats"
 )
 
-// MaxCommonNeighbors returns max over node pairs u ≠ v of |N(u) ∩ N(v)|,
-// the local sensitivity of the triangle count, on all cores.
+// mcnShardNodes is the number of consecutive degree-order positions per
+// shard of the max-common-neighbours scan. The work sits at the head of
+// the order, so shards are kept small enough to spread the few heavy
+// sources over the workers.
+const mcnShardNodes = 16
+
+// MaxCommonNeighborsCtx returns max over node pairs u ≠ v of
+// |N(u) ∩ N(v)|, the local sensitivity LS_Δ(G) of the triangle count.
 //
 // The scan visits source nodes in degree-descending order and counts
 // two-hop paths u–w–v into an O(n) scratch array. Because
@@ -39,27 +45,12 @@ import (
 // already scanned as a source, so on graphs with a heavy degree tail
 // only the few pairs of high-degree nodes are counted. The result is
 // exact.
-func MaxCommonNeighbors(g *graph.Graph) int { return MaxCommonNeighborsWorkers(g, 0) }
-
-// MaxCommonNeighborsWorkers is MaxCommonNeighbors sharded over runs of
-// the degree order on up to workers goroutines (<= 0 selects
-// runtime.GOMAXPROCS(0)). The workers share one atomic best, which only
-// sharpens the pruning: the maximum does not depend on the scan order,
-// so the result is identical for every worker count.
-func MaxCommonNeighborsWorkers(g *graph.Graph, workers int) int {
-	v, _ := MaxCommonNeighborsCtx(pipeline.New(nil, workers, nil), g)
-	return v
-}
-
-// mcnShardNodes is the number of consecutive degree-order positions per
-// shard of the max-common-neighbours scan. The work sits at the head of
-// the order, so shards are kept small enough to spread the few heavy
-// sources over the workers.
-const mcnShardNodes = 16
-
-// MaxCommonNeighborsCtx is MaxCommonNeighbors under a pipeline Run: the
-// scan checks the context between shards. A run that is never cancelled
-// computes the exact maximum; a cancelled run returns run.Err().
+//
+// The scan is sharded over runs of the degree order on the run's worker
+// budget. The workers share one atomic best, which only sharpens the
+// pruning: the maximum does not depend on the scan order, so the result
+// is identical for every worker count. The run's context is checked
+// between shards; a cancelled run returns run.Err().
 func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
 	n := g.NumNodes()
 	if n < 2 {
@@ -137,35 +128,20 @@ func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
 	return int(best.Load()), nil
 }
 
-// LocalSensitivity returns LS_Δ(G) = MaxCommonNeighbors(g).
-func LocalSensitivity(g *graph.Graph) float64 {
-	return float64(MaxCommonNeighbors(g))
-}
-
-// SensitivityAtDistance returns A^(s)(G) = min(LS(G)+s, n−2), the
-// maximum local sensitivity over graphs within edit distance s of g.
-func SensitivityAtDistance(g *graph.Graph, s int) float64 {
-	n := g.NumNodes()
+// SensitivityAtDistance returns A^(s)(G) = min(C+s, n−2), the maximum
+// local sensitivity over graphs within edit distance s of a graph on n
+// nodes whose local sensitivity (MaxCommonNeighborsCtx) is C; 0 when
+// n < 3.
+func SensitivityAtDistance(C, n, s int) float64 {
 	if n < 3 {
 		return 0
 	}
-	cap64 := float64(n - 2)
-	return math.Min(float64(MaxCommonNeighbors(g)+s), cap64)
+	return math.Min(float64(C+s), float64(n-2))
 }
 
-// Smooth returns the β-smooth sensitivity of the triangle count at g.
+// SmoothCtx returns the β-smooth sensitivity of the triangle count at g:
+// the MaxCommonNeighborsCtx scan under run, followed by SmoothFromLS.
 // β must be positive.
-func Smooth(g *graph.Graph, beta float64) float64 { return SmoothWorkers(g, beta, 0) }
-
-// SmoothWorkers is Smooth with an explicit worker bound for the local
-// sensitivity scan.
-func SmoothWorkers(g *graph.Graph, beta float64, workers int) float64 {
-	v, _ := SmoothCtx(pipeline.New(nil, workers, nil), g, beta)
-	return v
-}
-
-// SmoothCtx is Smooth under a pipeline Run (see MaxCommonNeighborsCtx
-// for the cancellation contract).
 func SmoothCtx(run *pipeline.Run, g *graph.Graph, beta float64) (float64, error) {
 	if beta <= 0 || math.IsNaN(beta) {
 		panic(fmt.Sprintf("smoothsens: beta must be positive, got %v", beta))
@@ -182,7 +158,7 @@ func SmoothCtx(run *pipeline.Run, g *graph.Graph, beta float64) (float64, error)
 }
 
 // SmoothFromLS returns SS_β of a graph on n nodes whose local
-// sensitivity (MaxCommonNeighbors) is C, in closed form: the maximum
+// sensitivity (MaxCommonNeighborsCtx) is C, in closed form: the maximum
 // of e^{−βs}·min(C+s, n−2) over integer s ≥ 0, and 0 when n < 3.
 // SmoothCtx is the scan followed by this; a caller that already holds
 // C uses it to skip a second scan.
@@ -236,20 +212,6 @@ type Result struct {
 	Scale     float64 // 2·SS_β/ε, the Laplace scale applied (sensitive)
 }
 
-// PrivateTriangles releases an (ε, δ)-differentially private triangle
-// count of g via the smooth-sensitivity Laplace mechanism, on all cores.
-func PrivateTriangles(g *graph.Graph, eps, delta float64, rng *randx.Rand) Result {
-	return PrivateTrianglesWorkers(g, eps, delta, rng, 0)
-}
-
-// PrivateTrianglesWorkers is PrivateTriangles with an explicit bound on
-// the goroutines used for the sensitivity scan and the exact count; the
-// released value is identical for every worker count.
-func PrivateTrianglesWorkers(g *graph.Graph, eps, delta float64, rng *randx.Rand, workers int) Result {
-	res, _ := PrivateTrianglesCtx(pipeline.New(nil, workers, nil), g, eps, delta, rng)
-	return res
-}
-
 // Query is the name under which the (ε, δ) Laplace release is charged
 // to accountants; QueryPure names the pure-ε Cauchy release.
 const (
@@ -257,22 +219,16 @@ const (
 	QueryPure = "triangles/smooth-cauchy"
 )
 
-// PrivateTrianglesCtx is PrivateTriangles under a pipeline Run: the
-// sensitivity scan and the exact count check the context between
-// shards, and a "triangle-release" stage event pair is emitted. A run
-// that is never cancelled consumes one Laplace draw from rng and
-// releases the exact PrivateTrianglesWorkers value; a cancelled run
-// returns run.Err() before any noise is drawn.
-func PrivateTrianglesCtx(run *pipeline.Run, g *graph.Graph, eps, delta float64, rng *randx.Rand) (Result, error) {
-	return PrivateTrianglesAccCtx(run, nil, g, eps, delta, rng) // nil accountant never refuses
-}
-
-// PrivateTrianglesAccCtx is PrivateTrianglesCtx drawing through the
-// accountant's smooth-sensitivity Laplace mechanism: the (ε, δ) charge
-// is recorded on acc (nil records nothing) after the sensitivity scan
-// but before any noise is drawn, and a refused charge returns the
-// error with no noise consumed from rng. For fixed seeds the released
-// count is bit-identical to PrivateTrianglesCtx.
+// PrivateTrianglesAccCtx releases an (ε, δ)-differentially private
+// triangle count of g via the accountant's smooth-sensitivity Laplace
+// mechanism. The sensitivity scan and the exact count run under run and
+// check its context between shards, and a "triangle-release" stage
+// event pair is emitted. The (ε, δ) charge is recorded on acc (nil
+// records nothing) after the sensitivity scan but before any noise is
+// drawn; a refused charge or a cancelled run returns the error with no
+// noise consumed from rng. Otherwise exactly one Laplace draw is taken
+// from rng, and the released count is identical for every worker count
+// and pinned to the fixed-seed hashes of the fingerprint tests.
 func PrivateTrianglesAccCtx(run *pipeline.Run, acc *accountant.Accountant, g *graph.Graph, eps, delta float64, rng *randx.Rand) (Result, error) {
 	done := run.Stage("triangle-release")
 	beta := BetaFor(eps, delta)

@@ -13,6 +13,17 @@ import (
 	"dpkron/internal/randx"
 )
 
+// Shorthands for the mechanisms at a nil run and a nil accountant (all
+// cores, never cancelled, nothing recorded, so the error is always nil).
+func maxCommon(g *graph.Graph) int { v, _ := MaxCommonNeighborsCtx(nil, g); return v }
+
+func smooth(g *graph.Graph, beta float64) float64 { v, _ := SmoothCtx(nil, g, beta); return v }
+
+func privateTriangles(g *graph.Graph, eps, delta float64, rng *randx.Rand) Result {
+	res, _ := PrivateTrianglesAccCtx(nil, nil, g, eps, delta, rng)
+	return res
+}
+
 func randomGraph(n int, p float64, seed uint64) *graph.Graph {
 	r := rand.New(rand.NewPCG(seed, seed+5))
 	b := graph.NewBuilder(n)
@@ -77,8 +88,8 @@ func TestMaxCommonNeighborsKnown(t *testing.T) {
 		{graph.FromEdges(2, [][2]int{{0, 1}}), 0},
 	}
 	for i, c := range cases {
-		if got := MaxCommonNeighbors(c.g); got != c.want {
-			t.Errorf("case %d: MaxCommonNeighbors = %d, want %d", i, got, c.want)
+		if got := maxCommon(c.g); got != c.want {
+			t.Errorf("case %d: MaxCommonNeighborsCtx = %d, want %d", i, got, c.want)
 		}
 	}
 }
@@ -86,7 +97,7 @@ func TestMaxCommonNeighborsKnown(t *testing.T) {
 func TestMaxCommonNeighborsVsBrute(t *testing.T) {
 	for seed := uint64(0); seed < 12; seed++ {
 		g := randomGraph(22, 0.25, seed)
-		if got, want := MaxCommonNeighbors(g), bruteMaxCommon(g); got != want {
+		if got, want := maxCommon(g), bruteMaxCommon(g); got != want {
 			t.Fatalf("seed %d: got %d, brute %d", seed, got, want)
 		}
 	}
@@ -97,10 +108,10 @@ func TestSmoothVsExhaustiveScan(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		g := randomGraph(18, 0.2, seed)
 		for _, beta := range betas {
-			got := Smooth(g, beta)
+			got := smooth(g, beta)
 			want := bruteSmooth(g, beta)
 			if math.Abs(got-want) > 1e-9*(1+want) {
-				t.Fatalf("seed %d beta %v: Smooth = %v, scan = %v", seed, beta, got, want)
+				t.Fatalf("seed %d beta %v: SmoothCtx = %v, scan = %v", seed, beta, got, want)
 			}
 		}
 	}
@@ -110,7 +121,7 @@ func TestSmoothAtLeastLocal(t *testing.T) {
 	f := func(seed uint64, bRaw uint16) bool {
 		g := randomGraph(16, 0.3, seed%500)
 		beta := 0.01 + float64(bRaw)/65535*2
-		return Smooth(g, beta) >= LocalSensitivity(g)-1e-12
+		return smooth(g, beta) >= float64(maxCommon(g))-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -129,7 +140,7 @@ func TestSmoothnessPropertyOnNeighbors(t *testing.T) {
 		}
 		h := g.WithEdgeToggled(u, v)
 		for _, beta := range []float64{0.05, 0.3, 1} {
-			sg, sh := Smooth(g, beta), Smooth(h, beta)
+			sg, sh := smooth(g, beta), smooth(h, beta)
 			if sg > math.Exp(beta)*sh+1e-9 {
 				t.Fatalf("trial %d beta %v: SS(G)=%v > e^b*SS(G')=%v", trial, beta, sg, math.Exp(beta)*sh)
 			}
@@ -142,13 +153,14 @@ func TestSmoothnessPropertyOnNeighbors(t *testing.T) {
 
 func TestSensitivityAtDistance(t *testing.T) {
 	g := graph.Star(10) // C = 1, n = 10
-	if got := SensitivityAtDistance(g, 0); got != 1 {
+	C, n := maxCommon(g), g.NumNodes()
+	if got := SensitivityAtDistance(C, n, 0); got != 1 {
 		t.Fatalf("A^(0) = %v, want 1", got)
 	}
-	if got := SensitivityAtDistance(g, 3); got != 4 {
+	if got := SensitivityAtDistance(C, n, 3); got != 4 {
 		t.Fatalf("A^(3) = %v, want 4", got)
 	}
-	if got := SensitivityAtDistance(g, 100); got != 8 { // capped at n-2
+	if got := SensitivityAtDistance(C, n, 100); got != 8 { // capped at n-2
 		t.Fatalf("A^(100) = %v, want 8", got)
 	}
 }
@@ -159,7 +171,7 @@ func TestLocalSensitivityIsTriangleChange(t *testing.T) {
 	// actual per-toggle change.
 	for seed := uint64(0); seed < 10; seed++ {
 		g := randomGraph(15, 0.3, seed)
-		ls := int64(LocalSensitivity(g))
+		ls := int64(maxCommon(g))
 		base := triangles(g)
 		for u := 0; u < 15; u++ {
 			for v := u + 1; v < 15; v++ {
@@ -205,7 +217,7 @@ func TestBetaForPanics(t *testing.T) {
 		func() { BetaFor(0, 0.1) },
 		func() { BetaFor(1, 0) },
 		func() { BetaFor(1, 1) },
-		func() { Smooth(graph.Empty(5), 0) },
+		func() { smooth(graph.Empty(5), 0) },
 	} {
 		func() {
 			defer func() {
@@ -220,11 +232,11 @@ func TestBetaForPanics(t *testing.T) {
 
 func TestPrivateTrianglesAccurateAtHugeEps(t *testing.T) {
 	g := randomGraph(40, 0.3, 7)
-	res := PrivateTriangles(g, 1000, 0.01, randx.New(1))
+	res := privateTriangles(g, 1000, 0.01, randx.New(1))
 	if math.Abs(res.Noisy-float64(res.Exact)) > 1 {
 		t.Fatalf("noisy %v vs exact %d at huge epsilon", res.Noisy, res.Exact)
 	}
-	if res.Scale <= 0 || res.SmoothSen < LocalSensitivity(g) {
+	if res.Scale <= 0 || res.SmoothSen < float64(maxCommon(g)) {
 		t.Fatalf("calibration fields wrong: %+v", res)
 	}
 }
@@ -271,14 +283,14 @@ func TestPrivateTrianglesUnbiased(t *testing.T) {
 	var sum float64
 	var exact float64
 	for i := 0; i < trials; i++ {
-		res := PrivateTriangles(g, 0.5, 0.01, randx.New(uint64(i)))
+		res := privateTriangles(g, 0.5, 0.01, randx.New(uint64(i)))
 		sum += res.Noisy
 		exact = float64(res.Exact)
 	}
 	mean := sum / trials
 	// Laplace noise has mean zero; scale here is 2*SS/eps, so allow a
 	// few standard errors.
-	res := PrivateTriangles(g, 0.5, 0.01, randx.New(0))
+	res := privateTriangles(g, 0.5, 0.01, randx.New(0))
 	se := res.Scale * math.Sqrt2 / math.Sqrt(trials)
 	if math.Abs(mean-exact) > 5*se {
 		t.Fatalf("mean %v vs exact %v (se %v)", mean, exact, se)
@@ -286,13 +298,13 @@ func TestPrivateTrianglesUnbiased(t *testing.T) {
 }
 
 func TestTinyGraphs(t *testing.T) {
-	if got := Smooth(graph.Empty(2), 0.5); got != 0 {
-		t.Fatalf("Smooth on 2 nodes = %v, want 0", got)
+	if got := smooth(graph.Empty(2), 0.5); got != 0 {
+		t.Fatalf("SmoothCtx on 2 nodes = %v, want 0", got)
 	}
-	if got := SensitivityAtDistance(graph.Empty(1), 5); got != 0 {
+	if got := SensitivityAtDistance(0, 1, 5); got != 0 {
 		t.Fatalf("A^(s) on 1 node = %v, want 0", got)
 	}
-	res := PrivateTriangles(graph.Empty(2), 1, 0.1, randx.New(3))
+	res := privateTriangles(graph.Empty(2), 1, 0.1, randx.New(3))
 	if res.Noisy != 0 || res.Exact != 0 {
 		t.Fatalf("tiny graph result = %+v", res)
 	}

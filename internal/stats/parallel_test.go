@@ -1,9 +1,13 @@
 package stats
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"dpkron/internal/graph"
+	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 )
 
@@ -27,26 +31,26 @@ func statGraph(n int, seed uint64) *graph.Graph {
 
 func TestFeatureCountsWorkerInvariant(t *testing.T) {
 	g := statGraph(2000, 3)
-	base := FeaturesOfWorkers(g, 1)
+	base, _ := FeaturesOfCtx(pipeline.New(nil, 1, nil), g)
 	if base.Delta == 0 || base.H == 0 {
 		t.Fatal("degenerate test graph")
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got := FeaturesOfWorkers(g, workers)
-		if got != base {
+		got, err := FeaturesOfCtx(pipeline.New(nil, workers, nil), g)
+		if err != nil || got != base {
 			t.Fatalf("workers=%d: features %+v != %+v", workers, got, base)
 		}
 	}
-	if FeaturesOf(g) != base {
-		t.Fatal("FeaturesOf differs from FeaturesOfWorkers")
+	if featuresOf(g) != base {
+		t.Fatal("FeaturesOfCtx at a nil run differs from a one-worker run")
 	}
 }
 
 func TestTrianglesPerNodeWorkerInvariant(t *testing.T) {
 	g := statGraph(1200, 5)
-	base := TrianglesPerNodeWorkers(g, 1)
+	base, _ := TrianglesPerNodeCtx(pipeline.New(nil, 1, nil), g)
 	for _, workers := range []int{4, 8} {
-		got := TrianglesPerNodeWorkers(g, workers)
+		got, _ := TrianglesPerNodeCtx(pipeline.New(nil, workers, nil), g)
 		for v := range got {
 			if got[v] != base[v] {
 				t.Fatalf("workers=%d: node %d count %d != %d", workers, v, got[v], base[v])
@@ -58,19 +62,19 @@ func TestTrianglesPerNodeWorkerInvariant(t *testing.T) {
 	for _, c := range base {
 		sum += c
 	}
-	if sum != 3*Triangles(g) {
-		t.Fatalf("per-node sum %d != 3×%d", sum, Triangles(g))
+	if sum != 3*triangles(g) {
+		t.Fatalf("per-node sum %d != 3×%d", sum, triangles(g))
 	}
 }
 
 func TestHopPlotWorkerInvariant(t *testing.T) {
 	g := statGraph(600, 7)
-	base := HopPlotWorkers(g, 1)
+	base, _ := HopPlotCtx(pipeline.New(nil, 1, nil), g)
 	if len(base) < 2 {
 		t.Fatal("degenerate hop plot")
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got := HopPlotWorkers(g, workers)
+		got, _ := HopPlotCtx(pipeline.New(nil, workers, nil), g)
 		if len(got) != len(base) {
 			t.Fatalf("workers=%d: hop plot length %d != %d", workers, len(got), len(base))
 		}
@@ -83,11 +87,33 @@ func TestHopPlotWorkerInvariant(t *testing.T) {
 }
 
 func TestHopPlotWorkersEmptyGraph(t *testing.T) {
-	if got := HopPlotWorkers(graph.Empty(0), 8); len(got) != 0 {
+	if got, _ := HopPlotCtx(pipeline.New(nil, 8, nil), graph.Empty(0)); len(got) != 0 {
 		t.Fatalf("empty graph hop plot = %v", got)
 	}
-	got := HopPlotWorkers(graph.Empty(4), 8)
+	got, _ := HopPlotCtx(pipeline.New(nil, 8, nil), graph.Empty(4))
 	if len(got) != 1 || got[0] != 4 {
 		t.Fatalf("isolated nodes hop plot = %v, want [4]", got)
+	}
+}
+
+// TestClusteringByDegreeCtxUnderRun checks that the clustering-by-degree
+// series runs inside its Run: identical at one and three workers, and a
+// cancelled run returns context.Canceled instead of counting on.
+func TestClusteringByDegreeCtxUnderRun(t *testing.T) {
+	g := statGraph(1500, 9)
+	one, err := ClusteringByDegreeCtx(pipeline.New(nil, 1, nil), g)
+	if err != nil || len(one) < 2 {
+		t.Fatalf("workers=1: %d points, err %v", len(one), err)
+	}
+	three, err := ClusteringByDegreeCtx(pipeline.New(nil, 3, nil), g)
+	if err != nil || !reflect.DeepEqual(one, three) {
+		t.Fatalf("workers=3 differs from workers=1 (err %v)", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, w := range []int{1, 3} {
+		if _, err := ClusteringByDegreeCtx(pipeline.New(ctx, w, nil), g); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: cancelled run err = %v, want context.Canceled", w, err)
+		}
 	}
 }

@@ -9,6 +9,15 @@ import (
 	"dpkron/internal/graph"
 )
 
+// Shorthands for the counters at a nil run (all cores, never
+// cancelled, so the error is always nil).
+func triangles(g *graph.Graph) int64          { v, _ := TrianglesCtx(nil, g); return v }
+func wedges(g *graph.Graph) int64             { v, _ := WedgesCtx(nil, g); return v }
+func tripins(g *graph.Graph) int64            { v, _ := TripinsCtx(nil, g); return v }
+func featuresOf(g *graph.Graph) Features      { f, _ := FeaturesOfCtx(nil, g); return f }
+func hopPlot(g *graph.Graph) []int64          { h, _ := HopPlotCtx(nil, g); return h }
+func trianglesPerNode(g *graph.Graph) []int64 { v, _ := TrianglesPerNodeCtx(nil, g); return v }
+
 func randomGraph(n int, p float64, seed uint64) *graph.Graph {
 	r := rand.New(rand.NewPCG(seed, seed*2654435761+1))
 	b := graph.NewBuilder(n)
@@ -129,7 +138,7 @@ func TestTrianglesKnownGraphs(t *testing.T) {
 		{graph.Empty(7), 0},
 	}
 	for i, c := range cases {
-		if got := Triangles(c.g); got != c.want {
+		if got := triangles(c.g); got != c.want {
 			t.Errorf("case %d: Triangles = %d, want %d", i, got, c.want)
 		}
 	}
@@ -138,7 +147,7 @@ func TestTrianglesKnownGraphs(t *testing.T) {
 func TestTrianglesVsBrute(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		g := randomGraph(25, 0.3, seed)
-		if got, want := Triangles(g), bruteTriangles(g); got != want {
+		if got, want := triangles(g), bruteTriangles(g); got != want {
 			t.Fatalf("seed %d: Triangles = %d, brute = %d", seed, got, want)
 		}
 	}
@@ -147,7 +156,7 @@ func TestTrianglesVsBrute(t *testing.T) {
 func TestWedgesVsBrute(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		g := randomGraph(20, 0.3, seed)
-		if got, want := Wedges(g), bruteWedges(g); got != want {
+		if got, want := wedges(g), bruteWedges(g); got != want {
 			t.Fatalf("seed %d: Wedges = %d, brute = %d", seed, got, want)
 		}
 	}
@@ -156,7 +165,7 @@ func TestWedgesVsBrute(t *testing.T) {
 func TestTripinsVsBrute(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		g := randomGraph(20, 0.4, seed)
-		if got, want := Tripins(g), bruteTripins(g); got != want {
+		if got, want := tripins(g), bruteTripins(g); got != want {
 			t.Fatalf("seed %d: Tripins = %d, brute = %d", seed, got, want)
 		}
 	}
@@ -165,19 +174,19 @@ func TestTripinsVsBrute(t *testing.T) {
 func TestTrianglesPerNodeSum(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		g := randomGraph(30, 0.25, seed)
-		per := TrianglesPerNode(g)
+		per := trianglesPerNode(g)
 		var sum int64
 		for _, c := range per {
 			sum += c
 		}
-		if sum != 3*Triangles(g) {
-			t.Fatalf("seed %d: per-node sum %d != 3*total %d", seed, sum, 3*Triangles(g))
+		if sum != 3*triangles(g) {
+			t.Fatalf("seed %d: per-node sum %d != 3*total %d", seed, sum, 3*triangles(g))
 		}
 	}
 }
 
 func TestTrianglesPerNodeK4(t *testing.T) {
-	per := TrianglesPerNode(graph.Complete(4))
+	per := trianglesPerNode(graph.Complete(4))
 	for v, c := range per {
 		if c != 3 {
 			t.Fatalf("K4 node %d participates in %d triangles, want 3", v, c)
@@ -204,7 +213,7 @@ func TestCommonNeighbors(t *testing.T) {
 func TestLocalClusteringTriangleWithTail(t *testing.T) {
 	// Triangle 0-1-2 plus pendant 3 attached to 0.
 	g := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}})
-	cc := LocalClustering(g)
+	cc, _ := LocalClusteringCtx(nil, g)
 	want := []float64{1.0 / 3, 1, 1, 0}
 	for v := range want {
 		if math.Abs(cc[v]-want[v]) > 1e-12 {
@@ -214,22 +223,28 @@ func TestLocalClusteringTriangleWithTail(t *testing.T) {
 }
 
 func TestGlobalClustering(t *testing.T) {
-	if got := GlobalClustering(graph.Complete(5)); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("K5 transitivity = %v, want 1", got)
-	}
-	if got := GlobalClustering(graph.Star(6)); got != 0 {
-		t.Fatalf("star transitivity = %v, want 0", got)
-	}
-	if got := GlobalClustering(graph.Empty(4)); got != 0 {
-		t.Fatalf("empty transitivity = %v, want 0", got)
+	for _, c := range []struct {
+		name string
+		f    Features
+		want float64
+	}{
+		{"K5", featuresOf(graph.Complete(5)), 1},
+		{"star", featuresOf(graph.Star(6)), 0},
+		{"empty", featuresOf(graph.Empty(4)), 0},
+		{"triangle with tail", Features{E: 4, H: 5, T: 1, Delta: 1}, 0.6},
+		{"no wedges", Features{E: 3, Delta: 2}, 0},
+	} {
+		if got := GlobalClustering(c.f); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: transitivity = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
 func TestFeaturesOfMatchesParts(t *testing.T) {
 	g := randomGraph(30, 0.2, 5)
-	f := FeaturesOf(g)
-	if f.E != float64(g.NumEdges()) || f.H != float64(Wedges(g)) ||
-		f.T != float64(Tripins(g)) || f.Delta != float64(Triangles(g)) {
+	f := featuresOf(g)
+	if f.E != float64(g.NumEdges()) || f.H != float64(wedges(g)) ||
+		f.T != float64(tripins(g)) || f.Delta != float64(triangles(g)) {
 		t.Fatal("FeaturesOf disagrees with individual counters")
 	}
 }
@@ -246,11 +261,11 @@ func TestFeaturesFromDegreesMatchesExactOnIntegers(t *testing.T) {
 		if math.Abs(f.E-float64(g.NumEdges())) > 1e-9 {
 			t.Fatalf("E mismatch: %v vs %d", f.E, g.NumEdges())
 		}
-		if math.Abs(f.H-float64(Wedges(g))) > 1e-9 {
-			t.Fatalf("H mismatch: %v vs %d", f.H, Wedges(g))
+		if math.Abs(f.H-float64(wedges(g))) > 1e-9 {
+			t.Fatalf("H mismatch: %v vs %d", f.H, wedges(g))
 		}
-		if math.Abs(f.T-float64(Tripins(g))) > 1e-9 {
-			t.Fatalf("T mismatch: %v vs %d", f.T, Tripins(g))
+		if math.Abs(f.T-float64(tripins(g))) > 1e-9 {
+			t.Fatalf("T mismatch: %v vs %d", f.T, tripins(g))
 		}
 	}
 }
@@ -266,7 +281,7 @@ func TestDegreeDistribution(t *testing.T) {
 func TestClusteringByDegree(t *testing.T) {
 	// Triangle + pendant: degrees are 3 (node 0), 2, 2, 1.
 	g := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}})
-	pts := ClusteringByDegree(g)
+	pts, _ := ClusteringByDegreeCtx(nil, g)
 	byDeg := map[int]DegreePoint{}
 	for _, p := range pts {
 		byDeg[p.Degree] = p
@@ -302,7 +317,7 @@ func TestConnectedComponents(t *testing.T) {
 
 func TestHopPlotPath(t *testing.T) {
 	g := graph.Path(4)
-	hop := HopPlot(g)
+	hop := hopPlot(g)
 	// Distances on a path of 4: pairs at distance 0:4, 1:6, 2:4, 3:2 (ordered).
 	want := []int64{4, 10, 14, 16}
 	if len(hop) != len(want) {
@@ -318,7 +333,7 @@ func TestHopPlotPath(t *testing.T) {
 func TestHopPlotVsBrute(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		g := randomGraph(18, 0.2, seed)
-		got, want := HopPlot(g), bruteHopPlot(g)
+		got, want := hopPlot(g), bruteHopPlot(g)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: hop %v vs brute %v", seed, got, want)
 		}
@@ -332,7 +347,7 @@ func TestHopPlotVsBrute(t *testing.T) {
 
 func TestHopPlotDisconnected(t *testing.T) {
 	g := graph.FromEdges(4, [][2]int{{0, 1}}) // two isolated nodes
-	hop := HopPlot(g)
+	hop := hopPlot(g)
 	if hop[0] != 4 {
 		t.Fatalf("hop[0] = %d, want 4", hop[0])
 	}
@@ -360,7 +375,7 @@ func TestQuickTriangleInvariantUnderRelabel(t *testing.T) {
 		perm := rand.New(rand.NewPCG(seed, 99)).Perm(16)
 		b := graph.NewBuilder(16)
 		g.ForEachEdge(func(u, v int) { b.AddEdge(perm[u], perm[v]) })
-		return Triangles(g) == Triangles(b.Build())
+		return triangles(g) == triangles(b.Build())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -370,7 +385,7 @@ func TestQuickTriangleInvariantUnderRelabel(t *testing.T) {
 func TestQuickHopPlotMonotone(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := randomGraph(20, 0.15, seed%1000)
-		hop := HopPlot(g)
+		hop := hopPlot(g)
 		for i := 1; i < len(hop); i++ {
 			if hop[i] < hop[i-1] {
 				return false

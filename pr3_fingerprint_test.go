@@ -24,9 +24,9 @@ import (
 // before the context-aware pipeline refactor. They pin the released
 // bits of every refactored path: samplers, Algorithm 1, both baseline
 // estimators, ANF, smooth sensitivity, the spectral series, and the
-// epsilon sweep. Each case runs both the historical blocking entry
-// point and its ...Ctx variant under a live cancellable context; all
-// three values must agree.
+// epsilon sweep. Each case runs its one ...Ctx entry point through the
+// three routes of fpRuns (a background run, a live cancellable run and
+// a nil run); every route must reproduce the pin.
 
 func fpHashGraph(g *graph.Graph) uint64 {
 	h := fnv.New64a()
@@ -61,35 +61,54 @@ func fpGraphK10(t *testing.T) *graph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := m.SampleExactWorkers(randx.New(42), 4)
+	g, err := m.SampleExactCtx(pipeline.New(nil, 4, nil), randx.New(42))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return g
+}
+
+// fpRoute is one way of calling a ...Ctx entry point.
+type fpRoute struct {
+	name string
+	run  *pipeline.Run
+}
+
+// fpRuns returns the routes every pin is checked through: a background
+// run (no cancellation signal, so the pool skips its checks), a live
+// run (a cancellation signal that never fires, so the checks run) and
+// a nil run, which the pipeline documents as a background run on all
+// cores.
+func fpRuns(t *testing.T, workers int) []fpRoute {
+	return []fpRoute{
+		{fmt.Sprintf("background/w%d", workers), pipeline.New(nil, workers, nil)},
+		{fmt.Sprintf("live/w%d", workers), liveRun(t, workers)},
+		{"nil", nil},
+	}
 }
 
 func TestFingerprintSamplers(t *testing.T) {
 	m, _ := skg.NewModel(skg.Initiator{A: 0.99, B: 0.55, C: 0.35}, 10)
-	const wantExact = uint64(0x6c10859be86b36ad)
-	if got := fpHashGraph(m.SampleExactWorkers(randx.New(42), 4)); got != wantExact {
-		t.Errorf("SampleExactWorkers fingerprint = %#x, want %#x (PR 2)", got, wantExact)
-	}
-	gc, err := m.SampleExactCtx(liveRun(t, 4), randx.New(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fpHashGraph(gc); got != wantExact {
-		t.Errorf("SampleExactCtx fingerprint = %#x, want %#x (PR 2)", got, wantExact)
-	}
-
 	mb, _ := skg.NewModel(skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, 12)
-	const wantDrop = uint64(0x782fb2c09f8882ef)
-	if got := fpHashGraph(mb.SampleBallDropNWorkers(randx.New(7), 3000, 4)); got != wantDrop {
-		t.Errorf("SampleBallDropNWorkers fingerprint = %#x, want %#x (PR 2)", got, wantDrop)
-	}
-	gd, err := mb.SampleBallDropNCtx(liveRun(t, 4), randx.New(7), 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fpHashGraph(gd); got != wantDrop {
-		t.Errorf("SampleBallDropNCtx fingerprint = %#x, want %#x (PR 2)", got, wantDrop)
+	const (
+		wantExact = uint64(0x6c10859be86b36ad)
+		wantDrop  = uint64(0x782fb2c09f8882ef)
+	)
+	for _, r := range fpRuns(t, 4) {
+		g, err := m.SampleExactCtx(r.run, randx.New(42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fpHashGraph(g); got != wantExact {
+			t.Errorf("SampleExactCtx[%s] fingerprint = %#x, want %#x (PR 2)", r.name, got, wantExact)
+		}
+		gd, err := mb.SampleBallDropNCtx(r.run, randx.New(7), 3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fpHashGraph(gd); got != wantDrop {
+			t.Errorf("SampleBallDropNCtx[%s] fingerprint = %#x, want %#x (PR 2)", r.name, got, wantDrop)
+		}
 	}
 }
 
@@ -100,31 +119,24 @@ func TestFingerprintEstimateAndFeatures(t *testing.T) {
 		wantFeats = uint64(0x297d918e6156a3fb)
 		wantExact = uint64(0x42b1d41f1ac6a497)
 	)
-	check := func(label string, res *core.Result, err error) {
+	for _, r := range fpRuns(t, 4) {
+		res, err := core.EstimateCtx(r.run, g, core.Options{Eps: 0.5, Delta: 0.01, Rng: randx.New(9)})
 		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+			t.Fatalf("EstimateCtx[%s]: %v", r.name, err)
 		}
 		if got := fpHashFloats(res.Init.A, res.Init.B, res.Init.C); got != wantInit {
-			t.Errorf("%s init fingerprint = %#x, want %#x (PR 2)", label, got, wantInit)
+			t.Errorf("EstimateCtx[%s] init fingerprint = %#x, want %#x (PR 2)", r.name, got, wantInit)
 		}
 		if got := fpHashFloats(res.Features.E, res.Features.H, res.Features.T, res.Features.Delta); got != wantFeats {
-			t.Errorf("%s features fingerprint = %#x, want %#x (PR 2)", label, got, wantFeats)
+			t.Errorf("EstimateCtx[%s] features fingerprint = %#x, want %#x (PR 2)", r.name, got, wantFeats)
 		}
-	}
-	res, err := core.Estimate(g, core.Options{Eps: 0.5, Delta: 0.01, Rng: randx.New(9), Workers: 4})
-	check("Estimate", res, err)
-	res, err = core.EstimateCtx(liveRun(t, 4), g, core.Options{Eps: 0.5, Delta: 0.01, Rng: randx.New(9)})
-	check("EstimateCtx", res, err)
-
-	if got := fpHashFloats(featSlice(stats.FeaturesOfWorkers(g, 4))...); got != wantExact {
-		t.Errorf("FeaturesOfWorkers fingerprint = %#x, want %#x (PR 2)", got, wantExact)
-	}
-	fc, err := stats.FeaturesOfCtx(liveRun(t, 4), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fpHashFloats(featSlice(fc)...); got != wantExact {
-		t.Errorf("FeaturesOfCtx fingerprint = %#x, want %#x (PR 2)", got, wantExact)
+		fc, err := stats.FeaturesOfCtx(r.run, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fpHashFloats(featSlice(fc)...); got != wantExact {
+			t.Errorf("FeaturesOfCtx[%s] fingerprint = %#x, want %#x (PR 2)", r.name, got, wantExact)
+		}
 	}
 }
 
@@ -132,90 +144,72 @@ func featSlice(f stats.Features) []float64 { return []float64{f.E, f.H, f.T, f.D
 
 func TestFingerprintBaselineEstimators(t *testing.T) {
 	g := fpGraphK10(t)
-	const wantKF = uint64(0x9bbc8c400e943082)
-	kf, err := kronfit.Fit(g, kronfit.Options{K: 10, Iters: 12, Rng: randx.New(13), Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fpHashFloats(kf.Init.A, kf.Init.B, kf.Init.C, kf.LogLikelihood); got != wantKF {
-		t.Errorf("kronfit.Fit fingerprint = %#x, want %#x (PR 2)", got, wantKF)
-	}
-	kfc, err := kronfit.FitCtx(liveRun(t, 4), g, kronfit.Options{K: 10, Iters: 12, Rng: randx.New(13)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fpHashFloats(kfc.Init.A, kfc.Init.B, kfc.Init.C, kfc.LogLikelihood); got != wantKF {
-		t.Errorf("kronfit.FitCtx fingerprint = %#x, want %#x (PR 2)", got, wantKF)
-	}
-
-	const wantKM = uint64(0x25efa408aca92c5f)
-	km, err := kronmom.FitGraph(g, 10, kronmom.Options{Rng: randx.New(17), Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fpHashFloats(km.Init.A, km.Init.B, km.Init.C, km.Objective); got != wantKM {
-		t.Errorf("kronmom.FitGraph fingerprint = %#x, want %#x (PR 2)", got, wantKM)
-	}
-	kmc, err := kronmom.FitGraphCtx(liveRun(t, 4), g, 10, kronmom.Options{Rng: randx.New(17)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fpHashFloats(kmc.Init.A, kmc.Init.B, kmc.Init.C, kmc.Objective); got != wantKM {
-		t.Errorf("kronmom.FitGraphCtx fingerprint = %#x, want %#x (PR 2)", got, wantKM)
+	const (
+		wantKF = uint64(0x9bbc8c400e943082)
+		wantKM = uint64(0x25efa408aca92c5f)
+	)
+	for _, r := range fpRuns(t, 4) {
+		kf, err := kronfit.FitCtx(r.run, g, kronfit.Options{K: 10, Iters: 12, Rng: randx.New(13)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fpHashFloats(kf.Init.A, kf.Init.B, kf.Init.C, kf.LogLikelihood); got != wantKF {
+			t.Errorf("kronfit.FitCtx[%s] fingerprint = %#x, want %#x (PR 2)", r.name, got, wantKF)
+		}
+		km, err := kronmom.FitGraphCtx(r.run, g, 10, kronmom.Options{Rng: randx.New(17)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fpHashFloats(km.Init.A, km.Init.B, km.Init.C, km.Objective); got != wantKM {
+			t.Errorf("kronmom.FitGraphCtx[%s] fingerprint = %#x, want %#x (PR 2)", r.name, got, wantKM)
+		}
 	}
 }
 
 func TestFingerprintStatisticsPaths(t *testing.T) {
 	g := fpGraphK10(t)
-
-	const wantANF = uint64(0xaf33ea602570793)
-	if got := fpHashFloats(anf.HopPlot(g, anf.Options{Trials: 16, Rng: randx.New(21), Workers: 4})...); got != wantANF {
-		t.Errorf("anf.HopPlot fingerprint = %#x, want %#x (PR 2)", got, wantANF)
-	}
-	hc, err := anf.HopPlotCtx(liveRun(t, 4), g, anf.Options{Trials: 16, Rng: randx.New(21)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fpHashFloats(hc...); got != wantANF {
-		t.Errorf("anf.HopPlotCtx fingerprint = %#x, want %#x (PR 2)", got, wantANF)
-	}
-
-	const wantSS = uint64(0x982b28ed09bc9fe4)
-	tri := smoothsens.PrivateTrianglesWorkers(g, 0.3, 0.01, randx.New(23), 4)
-	if got := fpHashFloats(tri.Noisy, float64(tri.Exact), tri.SmoothSen, tri.Scale); got != wantSS {
-		t.Errorf("PrivateTrianglesWorkers fingerprint = %#x, want %#x (PR 2)", got, wantSS)
-	}
-	tric, err := smoothsens.PrivateTrianglesCtx(liveRun(t, 4), g, 0.3, 0.01, randx.New(23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fpHashFloats(tric.Noisy, float64(tric.Exact), tric.SmoothSen, tric.Scale); got != wantSS {
-		t.Errorf("PrivateTrianglesCtx fingerprint = %#x, want %#x (PR 2)", got, wantSS)
+	const (
+		wantANF = uint64(0xaf33ea602570793)
+		wantSS  = uint64(0x982b28ed09bc9fe4)
+	)
+	for _, r := range fpRuns(t, 4) {
+		hc, err := anf.HopPlotCtx(r.run, g, anf.Options{Trials: 16, Rng: randx.New(21)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fpHashFloats(hc...); got != wantANF {
+			t.Errorf("anf.HopPlotCtx[%s] fingerprint = %#x, want %#x (PR 2)", r.name, got, wantANF)
+		}
+		// A nil accountant records nothing and never refuses.
+		tri, err := smoothsens.PrivateTrianglesAccCtx(r.run, nil, g, 0.3, 0.01, randx.New(23))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fpHashFloats(tri.Noisy, float64(tri.Exact), tri.SmoothSen, tri.Scale); got != wantSS {
+			t.Errorf("PrivateTrianglesAccCtx[%s] fingerprint = %#x, want %#x (PR 2)", r.name, got, wantSS)
+		}
 	}
 
-	const wantScree = uint64(0x15b0b395a249059)
-	if got := fpHashFloats(linalg.ScreeValues(g, 16, randx.New(29))...); got != wantScree {
-		t.Errorf("ScreeValues fingerprint = %#x, want %#x (PR 2)", got, wantScree)
-	}
-	sc, err := linalg.ScreeValuesCtx(liveRun(t, 1), g, 16, randx.New(29))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fpHashFloats(sc...); got != wantScree {
-		t.Errorf("ScreeValuesCtx fingerprint = %#x, want %#x (PR 2)", got, wantScree)
-	}
-
-	const wantNet = uint64(0x908559add58d1d35)
-	nv := linalg.NetworkValues(g, randx.New(31))
-	if got := fpHashFloats(nv[:32]...); got != wantNet {
-		t.Errorf("NetworkValues fingerprint = %#x, want %#x (PR 2)", got, wantNet)
-	}
-	nvc, err := linalg.NetworkValuesCtx(liveRun(t, 1), g, randx.New(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fpHashFloats(nvc[:32]...); got != wantNet {
-		t.Errorf("NetworkValuesCtx fingerprint = %#x, want %#x (PR 2)", got, wantNet)
+	// The spectral series are serial; one worker is the historical route.
+	const (
+		wantScree = uint64(0x15b0b395a249059)
+		wantNet   = uint64(0x908559add58d1d35)
+	)
+	for _, r := range fpRuns(t, 1) {
+		sc, err := linalg.ScreeValuesCtx(r.run, g, 16, randx.New(29))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fpHashFloats(sc...); got != wantScree {
+			t.Errorf("ScreeValuesCtx[%s] fingerprint = %#x, want %#x (PR 2)", r.name, got, wantScree)
+		}
+		nv, err := linalg.NetworkValuesCtx(r.run, g, randx.New(31))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fpHashFloats(nv[:32]...); got != wantNet {
+			t.Errorf("NetworkValuesCtx[%s] fingerprint = %#x, want %#x (PR 2)", r.name, got, wantNet)
+		}
 	}
 }
 
@@ -232,18 +226,13 @@ func TestFingerprintEpsilonSweep(t *testing.T) {
 		}
 		return fpHashFloats(vals...)
 	}
-	rows, err := experiments.EpsilonSweepWorkers(g, 10, []float64{0.2, 1}, 0.01, 2, 37, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hashRows(rows); got != wantSweep {
-		t.Errorf("EpsilonSweepWorkers fingerprint = %#x, want %#x (PR 2)", got, wantSweep)
-	}
-	rowsC, err := experiments.EpsilonSweepCtx(liveRun(t, 4), g, 10, []float64{0.2, 1}, 0.01, 2, 37)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hashRows(rowsC); got != wantSweep {
-		t.Errorf("EpsilonSweepCtx fingerprint = %#x, want %#x (PR 2)", got, wantSweep)
+	for _, r := range fpRuns(t, 4) {
+		rows, err := experiments.EpsilonSweepCtx(r.run, g, 10, []float64{0.2, 1}, 0.01, 2, 37)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hashRows(rows); got != wantSweep {
+			t.Errorf("EpsilonSweepCtx[%s] fingerprint = %#x, want %#x (PR 2)", r.name, got, wantSweep)
+		}
 	}
 }

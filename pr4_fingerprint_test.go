@@ -60,16 +60,20 @@ func TestFingerprintAccountedEstimate(t *testing.T) {
 func TestFingerprintAccountedMechanisms(t *testing.T) {
 	g := fpGraphK10(t)
 
-	// degseq: the accounted release equals the historical one bit for bit.
+	// degseq: the release through a live accountant equals the release
+	// through a nil one (which records nothing) bit for bit.
 	acc := accountant.New(nil)
 	got, err := degseq.PrivateAcc(acc, g, 0.25, randx.New(19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := degseq.Private(g, 0.25, randx.New(19))
+	want, err := degseq.PrivateAcc(nil, g, 0.25, randx.New(19))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("PrivateAcc[%d] = %v, Private = %v", i, got[i], want[i])
+			t.Fatalf("PrivateAcc(acc)[%d] = %v, PrivateAcc(nil) = %v", i, got[i], want[i])
 		}
 	}
 	if ch := acc.Charges(); len(ch) != 1 || ch[0].Query != degseq.Query || ch[0].Sensitivity != degseq.GlobalSensitivity {

@@ -109,7 +109,7 @@ func TestFingerprintStreamingReadEdgeList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantGraph = uint64(0x6c10859be86b36ad) // PR 2 SampleExact pin
+	const wantGraph = uint64(0x6c10859be86b36ad) // PR 2 SampleExactCtx pin
 	if got := fpHashGraph(back); got != wantGraph {
 		t.Errorf("streamed parse fingerprint = %#x, want %#x (PR 2)", got, wantGraph)
 	}

@@ -99,12 +99,12 @@ func TestFingerprintV2Routes(t *testing.T) {
 
 // TestFingerprintStreamedGenerate pins the streaming samplers: for the
 // PR 2 seed, StreamExactCtx's spilled edge set must hash to the exact
-// graph fingerprint SampleExact pinned, and a full streaming
+// graph fingerprint SampleExactCtx pinned, and a full streaming
 // generate-to-store must place a dataset whose mmap load reproduces
 // the PR 2 release bits — proving the bounded-memory path changes no
 // sampled bit anywhere in the pipeline.
 func TestFingerprintStreamedGenerate(t *testing.T) {
-	const wantGraph = uint64(0x6c10859be86b36ad) // PR 2 SampleExact pin
+	const wantGraph = uint64(0x6c10859be86b36ad) // PR 2 SampleExactCtx pin
 	m, err := skg.NewModel(skg.Initiator{A: 0.99, B: 0.55, C: 0.35}, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,10 @@ func TestFingerprintStreamedGenerate(t *testing.T) {
 	}
 
 	// The in-memory sampler must agree that this is its graph.
-	direct := m.SampleExactWorkers(randx.New(42), 4)
+	direct, err := m.SampleExactCtx(pipeline.New(nil, 4, nil), randx.New(42))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !direct.Equal(g) {
 		t.Error("streamed store load differs from the in-memory sample")
 	}

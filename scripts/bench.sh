@@ -64,13 +64,17 @@
 #
 # The PipelineOverhead family is emitted as matched plain/ctx pairs and
 # summarized in a "pipeline_overhead" section: ctx_over_plain is the
-# ns/op ratio of the context-aware path to the historical blocking path
+# ns/op ratio of a ...Ctx entry point under a live cancellable run to
+# the same entry point under a background run (no cancellation signal)
 # on the same workload (PR 3's acceptance bound is <= 1.02 at a
 # statistically meaningful benchtime). The MechanismDispatch family is
 # likewise paired into a "mechanism_dispatch" section:
 # accounted_over_direct is the ns/op ratio of drawing noise through a
 # charged accountant mechanism to the direct dp call on the same
-# release unit (PR 4's acceptance bound is <= 1.02). The DatasetLoad
+# release unit (PR 4's acceptance bound is <= 1.02). Its one pair is
+# laplacevec-n4096; the degseq-k12 and triangles-k8 pairs were retired
+# when the unaccounted release paths their direct legs timed were
+# deleted. The DatasetLoad
 # family is paired into a "dataset_load" section: binary_over_text is
 # the ns/op ratio of decoding the store's binary CSR form to parsing
 # the same graph's SNAP text (PR 5's acceptance bar is well under 1 —
