@@ -931,7 +931,7 @@ func BenchmarkStreamingGenerate(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					meta, _, err = st.PutFormat(g, "bench", "generated", 2)
+					meta, _, err = st.Put(g, "bench", "generated")
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -399,7 +399,7 @@ func TestCLIDatasetWorkflow(t *testing.T) {
 
 	// Import; the printed id is the content fingerprint.
 	out := run(t, bin, "dataset", "import", "-store", store, "-in", edge, "-name", "toy")
-	if !strings.Contains(out, "imported ds-") {
+	if !strings.Contains(out, "imported ds-") || !strings.Contains(out, "(snap, v2, ") {
 		t.Fatalf("import output: %s", out)
 	}
 	id := strings.TrimSuffix(strings.Fields(out)[1], ":")
@@ -436,7 +436,8 @@ func TestCLIDatasetWorkflow(t *testing.T) {
 		t.Fatalf("list output: %s", out)
 	}
 	out = run(t, bin, "dataset", "info", "-store", store, "-id", id)
-	if !strings.Contains(out, "nodes:    256") || !strings.Contains(out, "source:   snap") {
+	if !strings.Contains(out, "nodes:    256") || !strings.Contains(out, "source:   snap") ||
+		!strings.Contains(out, "format:   v2") || !strings.Contains(out, "mmap:") {
 		t.Fatalf("info output: %s", out)
 	}
 
@@ -486,6 +487,9 @@ func TestCLIDatasetUsageErrors(t *testing.T) {
 		{"dataset", "import", "-store", "/tmp/s"}, // missing -in
 		{"dataset", "info", "-store", "/tmp/s"},   // missing -id
 		{"dataset", "rm", "-store", "/tmp/s"},     // missing -id
+		// One stored format: no layout flag, no convert action.
+		{"dataset", "import", "-store", "/tmp/s", "-in", "g.txt", "-format", "v1"},
+		{"dataset", "convert", "-store", "/tmp/s", "-id", "ds-0011223344556677"},
 	} {
 		code, out := exitCode(t, bin, "", args...)
 		if code != 2 {

@@ -40,9 +40,9 @@
 // has a home: a persistent, content-addressed DatasetStore (OpenStore,
 // ImportDataset). A sensitive graph is imported a single time — from
 // SNAP text, a gzipped stream, or a Matrix Market file, streamed
-// straight into the graph builder — and stored in a compact checksummed
-// binary CSR format whose load is bit-identical to parsing the original
-// edge list and considerably faster. Every later interaction is by the
+// straight into the graph builder — and stored in a checksummed binary
+// CSR format whose load is bit-identical to parsing the original edge
+// list and considerably faster. Every later interaction is by the
 // dataset's id, which doubles as its ledger account: `dpkron fit -store
 // DIR -in ds-...` on the command line, "dataset_id" in server fit
 // requests. See ExampleOpenStore.
@@ -111,12 +111,16 @@
 //
 // # Out-of-core scale
 //
-// The dataset store holds graphs in two interchangeable binary
-// layouts: the compact varint DPKG v1, and the mmap-friendly DPKG v2
-// — fixed-width aligned CSR arrays behind a self-checksummed header —
-// which a store Load opens in O(1) by mapping the file and serving
-// the adjacency straight out of the page cache (internal/mmapfile;
-// platforms without mmap decode the same bytes onto the heap).
+// The dataset store holds every graph in one binary layout, the
+// mmap-friendly DPKG v2 — fixed-width aligned CSR arrays behind a
+// self-checksummed header — which a store Load opens in O(1) by
+// mapping the file and serving the adjacency straight out of the page
+// cache (internal/mmapfile; platforms without mmap decode the same
+// bytes onto the heap). The first map of a dataset by a store handle
+// checks the file's trailing SHA-256 once. The compact varint DPKG v1
+// is an import codec only: uploads may use it, and a v1 file left by
+// an older store is rewritten as v2 on its first Load. v2 costs
+// 3.5–5.1× the disk of v1 on the benchmark graphs.
 // Generation scales the same way: `dpkron generate -store` and the
 // server's store-and-omit-edges generate jobs stream sampled edges
 // through a bounded-memory external sort-and-dedup (internal/extsort)

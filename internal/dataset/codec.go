@@ -1,7 +1,8 @@
 // Package dataset is the persistent graph store behind fit-by-id: a
-// compact binary on-disk CSR format, a content-addressed Store with
-// atomic writes and cross-process locking, and streaming importers
-// (SNAP text, gzip, Matrix Market) that feed graph.Builder directly.
+// binary on-disk CSR format (DPKG v2, mapped on load; the compact v1
+// remains an import codec), a content-addressed Store with atomic
+// writes and cross-process locking, and streaming importers (SNAP
+// text, gzip, Matrix Market) that feed graph.Builder directly.
 //
 // The paper's estimator is run repeatedly against the same sensitive
 // graph (the ε-sweeps of Table 1), and the budget accountant already
@@ -13,7 +14,6 @@
 package dataset
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
@@ -41,7 +41,9 @@ import (
 // graph.Builder uses, so decode(encode(g)) is bit-identical to g. The
 // gap encoding keeps typical SKG adjacency to one or two bytes per
 // edge. The trailing checksum makes torn or bit-rotted files a typed
-// error instead of a silently wrong graph.
+// error instead of a silently wrong graph. The store writes only v2
+// (codecv2.go); v1 is decoded from uploads and from the files of older
+// stores, which Store.Load rewrites as v2.
 
 // Typed decode errors. Decode failures wrap exactly one of these, so
 // callers can distinguish wrong-file-type (ErrBadMagic) from damage
@@ -148,12 +150,24 @@ func UnmarshalLimit(data []byte, maxNodes int) (*graph.Graph, error) {
 	if len(data) < len(magic)+1+checksumLen {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
 	}
+	if err := verifyChecksum(data); err != nil {
+		return nil, err
+	}
+	return decodePayloadLimit(data[:len(data)-checksumLen], maxNodes)
+}
+
+// verifyChecksum checks the trailing SHA-256 of an encoded graph
+// against every preceding byte; both DPKG versions end this way.
+func verifyChecksum(data []byte) error {
+	if len(data) < checksumLen {
+		return fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
+	}
 	payload, sum := data[:len(data)-checksumLen], data[len(data)-checksumLen:]
 	want := sha256.Sum256(payload)
 	if subtle.ConstantTimeCompare(want[:], sum) != 1 {
-		return nil, ErrChecksum
+		return ErrChecksum
 	}
-	return decodePayloadLimit(payload, maxNodes)
+	return nil
 }
 
 // decodePayload parses the checksummed region (magic through rows).
@@ -271,40 +285,8 @@ func uvarint(p []byte) (uint64, []byte, error) {
 	}
 }
 
-// Encode writes the binary DPKG form of g (version 1) to w, streaming
-// row by row through a fixed-size buffer instead of materializing the
-// whole encoding — writing a graph costs O(max row), not O(n+m).
-func Encode(w io.Writer, g *graph.Graph) error {
-	h := sha256.New()
-	bw := bufio.NewWriterSize(w, 1<<16)
-	mw := io.MultiWriter(bw, h)
-	n := g.NumNodes()
-	buf := make([]byte, 0, 256)
-	buf = append(buf, magic[:]...)
-	buf = binary.AppendUvarint(buf, codecVersion)
-	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = binary.AppendUvarint(buf, uint64(g.NumEdges()))
-	if _, err := mw.Write(buf); err != nil {
-		return err
-	}
-	for u := 0; u < n; u++ {
-		buf = appendV1Row(buf[:0], u, upperRow(g, u))
-		if _, err := mw.Write(buf); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.Write(h.Sum(nil)); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// DecodeBinary reads a DPKG-encoded graph from r (to EOF).
-func DecodeBinary(r io.Reader) (*graph.Graph, error) {
-	return DecodeBinaryLimit(r, 0)
-}
-
-// DecodeBinaryLimit is DecodeBinary with UnmarshalLimit's node cap.
+// DecodeBinaryLimit reads a DPKG-encoded graph of either version from
+// r (to EOF), with UnmarshalLimit's node cap.
 func DecodeBinaryLimit(r io.Reader, maxNodes int) (*graph.Graph, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

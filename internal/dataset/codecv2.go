@@ -42,12 +42,12 @@ import (
 // The trailing checksum matches v1's convention (last 32 bytes, over
 // everything before), so Unmarshal verifies both formats identically.
 // The mmap open path (OpenMapped) deliberately does NOT stream the
-// whole file through SHA-256 — that would re-buy the O(n+m) cost the
-// layout exists to avoid. It validates the header in O(1) instead
-// (magic, version, the header's own checksum field, size and
-// alignment arithmetic, off[0]/off[n] spot checks); full-file
-// verification still runs on every byte-slice decode (imports,
-// uploads, Verify) where the bytes are already resident.
+// whole file through SHA-256, so an open stays O(1). It validates the
+// header instead (magic, version, the header's own checksum field,
+// size and alignment arithmetic, off[0]/off[n] spot checks). Full-file
+// verification runs on every byte-slice decode (imports, uploads), and
+// Store.Load checks a mapped file's trailing SHA-256 once per store
+// handle, before it caches the graph.
 
 const (
 	codecVersion2 = 2

@@ -3,13 +3,10 @@ package dataset
 import "dpkron/internal/obs"
 
 // storeMetrics is the dataset store's telemetry: loads labeled by the
-// route the bytes took (cache hit, v1 heap decode, v2 mmap, v2 heap
-// fallback), the resident bytes of heap-decoded graphs held hot, and
-// budget/delete evictions. The zero value no-ops.
+// route the bytes took (cache hit, legacy v1 decode and upgrade, v2
+// mmap, v2 heap fallback). The zero value no-ops.
 type storeMetrics struct {
-	loads     *obs.CounterVec
-	resident  *obs.Gauge
-	evictions *obs.Counter
+	loads *obs.CounterVec
 }
 
 // Load route labels: the bounded set of ways a dataset reaches a
@@ -25,8 +22,6 @@ const (
 // serving traffic; a nil reg leaves the store uninstrumented.
 func (s *Store) Instrument(reg *obs.Registry) {
 	s.met = storeMetrics{
-		loads:     reg.CounterVec("dpkron_dataset_loads_total", "Dataset loads, by route (cache, v1-decode, v2-mmap, v2-heap).", "route"),
-		resident:  reg.Gauge("dpkron_dataset_cache_resident_bytes", "Heap bytes of decoded graphs held in the load cache (mmap entries cost zero)."),
-		evictions: reg.Counter("dpkron_dataset_cache_evictions_total", "Cache entries evicted (budget pressure or dataset deletion)."),
+		loads: reg.CounterVec("dpkron_dataset_loads_total", "Dataset loads, by route (cache, v1-decode, v2-mmap, v2-heap).", "route"),
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"dpkron/internal/faultfs"
 	"dpkron/internal/fslock"
 	"dpkron/internal/graph"
+	"dpkron/internal/mmapfile"
 )
 
 // ErrNotFound marks operations naming a dataset id the store does not
@@ -41,9 +42,10 @@ type Meta struct {
 	Imported time.Time `json:"imported"`
 	// Bytes is the size of the binary graph file.
 	Bytes int64 `json:"bytes"`
-	// Format is the DPKG layout version of the graph file: 1 (compact
-	// varint rows) or 2 (mmap-ready fixed-width CSR). 0 in metadata
-	// written before formats existed means 1.
+	// Format is the DPKG layout version of the graph file. The store
+	// writes only 2 (mmap-ready fixed-width CSR); 1 (compact varint
+	// rows) names a file from an older store not yet upgraded by a
+	// Load, and 0 in metadata written before formats existed means 1.
 	Format int `json:"format,omitempty"`
 }
 
@@ -61,6 +63,10 @@ type Meta struct {
 // only ever name one graph, which makes the read cache below always
 // valid and makes re-importing identical bytes a cheap no-op.
 //
+// Every graph file the store writes is DPKG v2, which Load maps
+// instead of decoding. A DPKG v1 file left by an older store is
+// decoded on its first Load and rewritten in place as v2.
+//
 // Cross-process safety assumes POSIX semantics: on non-unix builds
 // fslock is a documented no-op and rename-over-existing may fail, so
 // there a store directory should be used by a single process.
@@ -71,34 +77,10 @@ type Store struct {
 	// the zero value no-ops.
 	met storeMetrics
 
-	mu         sync.Mutex
-	cache      map[string]cacheEntry // id -> decoded graph (immutable)
-	order      []string              // heap-entry eviction order, oldest first
-	cacheBytes int64                 // resident bytes of heap entries
-}
-
-// cacheEntry is one cached graph plus its residency cost. Mapped
-// (mmap-backed) graphs carry bytes = 0: their adjacency lives in the
-// page cache, which the kernel already sizes and reclaims, so charging
-// them against the heap budget would evict exactly the entries that
-// are free to keep.
-type cacheEntry struct {
-	g     *graph.Graph
-	bytes int64
-}
-
-// cacheBudget bounds the total resident bytes of heap-decoded graphs
-// kept hot (the old bound was 8 entries regardless of size — a few
-// k=20 graphs at ~200 MB each blew past any sensible budget). The
-// newest entry always stays, even alone over budget: the caller is
-// about to use it.
-const cacheBudget = 256 << 20
-
-// graphHeapBytes is the CSR residency of a decoded graph: 4 bytes per
-// offset, 4 per adjacency slot (each edge appears twice).
-func graphHeapBytes(g *graph.Graph) int64 {
-	off, adj := g.CSR()
-	return 4 * (int64(len(off)) + int64(len(adj)))
+	mu sync.Mutex
+	// cache holds mapped graphs only: the page cache, not the heap,
+	// owns their bytes, so the cache needs no budget.
+	cache map[string]*graph.Graph
 }
 
 // Open returns a Store rooted at dir, creating the directory if
@@ -111,7 +93,7 @@ func OpenFS(fsys faultfs.FS, dir string) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dataset: opening store: %w", err)
 	}
-	return &Store{dir: dir, fs: fsys, cache: map[string]cacheEntry{}}, nil
+	return &Store{dir: dir, fs: fsys, cache: map[string]*graph.Graph{}}, nil
 }
 
 // Dir returns the store's root directory.
@@ -145,26 +127,14 @@ func (s *Store) lock() (unlock func(), err error) {
 	return fslock.Lock(filepath.Join(s.dir, "store.lock"))
 }
 
-// Put imports an in-memory graph under its content fingerprint and
-// returns the dataset's metadata plus whether it was newly created.
-// Importing a graph that is already stored is a no-op returning the
-// existing metadata (the id is content-addressed, so the bytes are
-// guaranteed identical); a half-deleted dataset — metadata surviving a
-// crash mid-Delete without its graph file, or vice versa — is
-// re-imported in full, not mistaken for stored.
+// Put imports an in-memory graph under its content fingerprint, as a
+// DPKG v2 file, and returns the dataset's metadata plus whether it was
+// newly created. Importing a graph that is already stored is a no-op
+// returning the existing metadata (the id is content-addressed, so the
+// bytes are guaranteed identical); a half-deleted dataset — metadata
+// surviving a crash mid-Delete without its graph file, or vice versa —
+// is re-imported in full, not mistaken for stored.
 func (s *Store) Put(g *graph.Graph, name, source string) (Meta, bool, error) {
-	return s.PutFormat(g, name, source, 1)
-}
-
-// PutFormat is Put with an explicit DPKG layout version: 1 (compact,
-// the default) or 2 (mmap-ready; Load then opens it O(1) on unix).
-// The id is content-addressed over the graph, not the file bytes, so
-// both formats of the same graph share one id — and one budget
-// account.
-func (s *Store) PutFormat(g *graph.Graph, name, source string, format int) (Meta, bool, error) {
-	if format != 1 && format != 2 {
-		return Meta{}, false, fmt.Errorf("dataset: unknown format version %d (want 1 or 2)", format)
-	}
 	id := accountant.DatasetID(g)
 	unlock, err := s.lock()
 	if err != nil {
@@ -176,15 +146,10 @@ func (s *Store) PutFormat(g *graph.Graph, name, source string, format int) (Meta
 			return m, false, nil
 		}
 	}
-	var data []byte
-	if format == 2 {
-		data = MarshalV2(g)
-	} else {
-		data = Marshal(g)
-	}
-	if err := writeAtomic(s.fs, s.graphPath(id), data); err != nil {
+	if err := s.writeV2(id, g); err != nil {
 		return Meta{}, false, err
 	}
+	_, size := v2Layout(g.NumNodes(), g.NumEdges())
 	m := Meta{
 		ID:       id,
 		Name:     name,
@@ -192,13 +157,18 @@ func (s *Store) PutFormat(g *graph.Graph, name, source string, format int) (Meta
 		Edges:    g.NumEdges(),
 		Source:   source,
 		Imported: time.Now().UTC().Truncate(time.Second),
-		Bytes:    int64(len(data)),
-		Format:   format,
+		Bytes:    size,
+		Format:   codecVersion2,
 	}
 	if err := s.writeMeta(m); err != nil {
 		return Meta{}, false, err
 	}
 	return m, true, nil
+}
+
+// writeV2 atomically writes g as the dataset's v2 graph file.
+func (s *Store) writeV2(id string, g *graph.Graph) error {
+	return writeAtomic(s.fs, s.graphPath(id), func(w io.Writer) error { return EncodeV2(w, g) })
 }
 
 // writeMeta persists a metadata sidecar atomically.
@@ -207,34 +177,33 @@ func (s *Store) writeMeta(m Meta) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(s.fs, s.metaPath(m.ID), append(mb, '\n'))
+	return writeAtomic(s.fs, s.metaPath(m.ID), func(w io.Writer) error {
+		_, err := w.Write(append(mb, '\n'))
+		return err
+	})
 }
 
 // ImportReader streams a graph from r — SNAP text, gzip, Matrix
-// Market, or DPKG binary, auto-detected — into the store (stored in
-// the compact v1 layout).
+// Market, or DPKG binary of either version, auto-detected — into the
+// store.
 func (s *Store) ImportReader(r io.Reader, name string, opt DecodeOptions) (Meta, error) {
-	return s.ImportReaderFormat(r, name, opt, 1)
-}
-
-// ImportReaderFormat is ImportReader with an explicit on-disk layout
-// version (see PutFormat).
-func (s *Store) ImportReaderFormat(r io.Reader, name string, opt DecodeOptions, format int) (Meta, error) {
 	g, src, err := DecodeGraph(r, opt)
 	if err != nil {
 		return Meta{}, err
 	}
-	m, _, err := s.PutFormat(g, name, string(src), format)
+	m, _, err := s.Put(g, name, string(src))
 	return m, err
 }
 
-// Load returns the stored graph. The decode is cached (graphs are
-// immutable and ids content-addressed, so cache entries can never go
-// stale), with existence re-checked on disk so a dataset deleted by
-// another process stops resolving. DPKG v2 files are opened via mmap
-// where supported — O(1) regardless of graph size, with the adjacency
-// paged in lazily by the kernel — so loading a v2 dataset never costs
-// a full-file decode.
+// Load returns the stored graph, mapped from its v2 file where the
+// platform allows: O(1) in the graph size, with the adjacency paged in
+// lazily by the kernel. The first map of a dataset by this handle
+// verifies the file's trailing checksum once; mapped graphs are then
+// cached (graphs are immutable and ids content-addressed, so cache
+// entries can never go stale), with existence re-checked on disk so a
+// dataset deleted by another process stops resolving. Heap-decoded
+// graphs — platforms without mmap, and legacy v1 files, which Load
+// upgrades to v2 in place — are verified in full and not cached.
 func (s *Store) Load(id string) (*graph.Graph, error) {
 	if !validID(id) {
 		return nil, fmt.Errorf("%w: malformed id %q", ErrNotFound, id)
@@ -246,78 +215,115 @@ func (s *Store) Load(id string) (*graph.Graph, error) {
 		return nil, fmt.Errorf("dataset: loading %s: %w", id, err)
 	}
 	s.mu.Lock()
-	if e, ok := s.cache[id]; ok {
-		s.mu.Unlock()
-		s.met.loads.With(loadRouteCache).Inc()
-		return e.g, nil
-	}
+	g, ok := s.cache[id]
 	s.mu.Unlock()
-	g, mapped, route, err := s.openGraph(id)
+	if ok {
+		s.met.loads.With(loadRouteCache).Inc()
+		return g, nil
+	}
+	g, route, err := s.openGraph(id)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	if e, ok := s.cache[id]; ok {
-		// Lost a decode race; keep the incumbent (the loser's mapping, if
-		// any, is released by its finalizer once g drops out of scope).
-		g = e.g
-	} else {
-		e := cacheEntry{g: g}
-		if !mapped {
-			e.bytes = graphHeapBytes(g)
-			s.order = append(s.order, id)
-			s.cacheBytes += e.bytes
+	if route == loadRouteMmap {
+		s.mu.Lock()
+		if cached, ok := s.cache[id]; ok {
+			// Lost a load race; keep the incumbent (the loser's mapping is
+			// released by its finalizer once g drops out of scope).
+			g = cached
+		} else {
+			s.cache[id] = g
 		}
-		s.cache[id] = e
-		for s.cacheBytes > cacheBudget && len(s.order) > 1 {
-			victim := s.order[0]
-			s.order = s.order[1:]
-			s.cacheBytes -= s.cache[victim].bytes
-			delete(s.cache, victim)
-			s.met.evictions.Inc()
-		}
+		s.mu.Unlock()
 	}
-	s.met.resident.Set(float64(s.cacheBytes))
-	s.mu.Unlock()
 	s.met.loads.With(route).Inc()
 	return g, nil
 }
 
-// openGraph materializes one dataset from disk: v2 files go through
-// OpenMapped (zero-copy mmap where supported, heap fallback
-// otherwise), v1 files through the full verifying decode.
-func (s *Store) openGraph(id string) (g *graph.Graph, mapped bool, route string, err error) {
+// openGraph materializes one dataset from disk and names the route it
+// took: v2 files go through OpenMapped plus a whole-file checksum
+// check when mapped, v1 files through the legacy upgrade.
+func (s *Store) openGraph(id string) (*graph.Graph, string, error) {
 	path := s.graphPath(id)
 	version, err := s.sniffVersion(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, false, "", fmt.Errorf("%w: %s", ErrNotFound, id)
+			return nil, "", fmt.Errorf("%w: %s", ErrNotFound, id)
 		}
-		return nil, false, "", fmt.Errorf("dataset %s: %w", id, err)
+		return nil, "", fmt.Errorf("dataset %s: %w", id, err)
 	}
-	if version == codecVersion2 {
-		g, mapped, err = OpenMapped(path)
-		if err != nil {
-			return nil, false, "", fmt.Errorf("dataset %s: %w", id, err)
-		}
-		route = loadRouteV2Heap
-		if mapped {
-			route = loadRouteMmap
-		}
-		return g, mapped, route, nil
+	if version == codecVersion {
+		g, err := s.upgradeV1(id)
+		return g, loadRouteV1, err
 	}
-	data, err := s.fs.ReadFile(path)
+	g, mapped, err := OpenMapped(path)
+	if err != nil {
+		return nil, "", fmt.Errorf("dataset %s: %w", id, err)
+	}
+	if !mapped {
+		return g, loadRouteV2Heap, nil
+	}
+	// OpenMapped checks only the header; the bytes behind the mapping
+	// are verified here, once per handle, before the graph is cached.
+	mf, err := mmapfile.Open(path)
+	if err != nil {
+		return nil, "", fmt.Errorf("dataset: loading %s: %w", id, err)
+	}
+	defer mf.Close()
+	if err := verifyChecksum(mf.Bytes()); err != nil {
+		return nil, "", fmt.Errorf("dataset %s: %w", id, err)
+	}
+	return g, loadRouteMmap, nil
+}
+
+// upgradeV1 decodes a legacy v1 graph file with full verification
+// and upgrades the file to v2. The id is content-addressed over the
+// graph, not the file bytes, so it is unchanged. A failed upgrade (a
+// read-only directory, a full disk) leaves the v1 file as it was and
+// still returns the graph.
+func (s *Store) upgradeV1(id string) (*graph.Graph, error) {
+	data, err := s.fs.ReadFile(s.graphPath(id))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, false, "", fmt.Errorf("%w: %s", ErrNotFound, id)
+			return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 		}
-		return nil, false, "", fmt.Errorf("dataset: loading %s: %w", id, err)
+		return nil, fmt.Errorf("dataset: loading %s: %w", id, err)
 	}
-	g, err = Unmarshal(data)
+	g, err := Unmarshal(data)
 	if err != nil {
-		return nil, false, "", fmt.Errorf("dataset %s: %w", id, err)
+		return nil, fmt.Errorf("dataset %s: %w", id, err)
 	}
-	return g, false, loadRouteV1, nil
+	// Best effort: the graph is verified either way, and a failed
+	// rewrite leaves the v1 file for the next Load to retry.
+	_ = s.rewriteV1(id, g)
+	return g, nil
+}
+
+// rewriteV1 rewrites a dataset's v1 graph file in place as v2, under
+// the store lock, and updates its sidecar. It does nothing unless the
+// file is still v1 with a sidecar: another handle may have upgraded or
+// deleted the dataset since the caller read it.
+func (s *Store) rewriteV1(id string, g *graph.Graph) error {
+	unlock, err := s.lock()
+	if err != nil {
+		return err
+	}
+	defer unlock()
+	m, err := s.readMeta(id)
+	if err != nil {
+		return err
+	}
+	if v, err := s.sniffVersion(s.graphPath(id)); err != nil || v != codecVersion {
+		return err
+	}
+	if err := s.writeV2(id, g); err != nil {
+		return err
+	}
+	_, m.Bytes = v2Layout(g.NumNodes(), g.NumEdges())
+	m.Format = codecVersion2
+	// Should this write fail, the stale sidecar is harmless: Load and
+	// FileInfo sniff the file itself.
+	return s.writeMeta(m)
 }
 
 // sniffVersion reads just enough of a graph file to identify its DPKG
@@ -370,70 +376,6 @@ func (s *Store) FileInfo(id string) (FileInfo, error) {
 		Bytes:  st.Size(),
 		Mmap:   version == codecVersion2 && mmapSupported,
 	}, nil
-}
-
-// Convert rewrites a stored dataset in the given DPKG layout version,
-// in place and atomically. The id is content-addressed over the graph,
-// not the file bytes, so it is unchanged; converting to the format the
-// file already has is a no-op. The decoded graph is verified against
-// its checksum before the old file is replaced.
-func (s *Store) Convert(id string, format int) (Meta, error) {
-	if format != 1 && format != 2 {
-		return Meta{}, fmt.Errorf("dataset: unknown format version %d (want 1 or 2)", format)
-	}
-	if !validID(id) {
-		return Meta{}, fmt.Errorf("%w: malformed id %q", ErrNotFound, id)
-	}
-	unlock, err := s.lock()
-	if err != nil {
-		return Meta{}, fmt.Errorf("dataset: locking store: %w", err)
-	}
-	defer unlock()
-	m, err := s.readMeta(id)
-	if err != nil {
-		return Meta{}, err
-	}
-	path := s.graphPath(id)
-	data, err := s.fs.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return Meta{}, fmt.Errorf("%w: %s", ErrNotFound, id)
-		}
-		return Meta{}, fmt.Errorf("dataset: loading %s: %w", id, err)
-	}
-	version, err := Version(data)
-	if err != nil {
-		return Meta{}, fmt.Errorf("dataset %s: %w", id, err)
-	}
-	if version == format {
-		m.Format = version // normalize pre-format metadata on the way out
-		return m, nil
-	}
-	g, err := Unmarshal(data)
-	if err != nil {
-		return Meta{}, fmt.Errorf("dataset %s: %w", id, err)
-	}
-	var out []byte
-	if format == 2 {
-		out = MarshalV2(g)
-	} else {
-		out = Marshal(g)
-	}
-	if err := writeAtomic(s.fs, path, out); err != nil {
-		return Meta{}, err
-	}
-	m.Bytes = int64(len(out))
-	m.Format = format
-	if err := s.writeMeta(m); err != nil {
-		return Meta{}, err
-	}
-	// Drop any cached decode: a mapped graph would now be backed by a
-	// replaced file (the mapping itself stays valid — the old inode
-	// lives until unmapped — but fresh loads should see the new layout).
-	s.mu.Lock()
-	s.evictLocked(id)
-	s.mu.Unlock()
-	return m, nil
 }
 
 // Meta returns the stored metadata of a dataset.
@@ -526,30 +468,9 @@ func (s *Store) Delete(id string) error {
 		return fmt.Errorf("dataset: deleting metadata of %s: %w", id, err)
 	}
 	s.mu.Lock()
-	s.evictLocked(id)
+	delete(s.cache, id) // a held mapping stays valid until its last user drops it
 	s.mu.Unlock()
 	return nil
-}
-
-// evictLocked drops one cache entry, refunding its heap budget. Mapped
-// entries are not in order and carry zero bytes, so the loop and the
-// refund are both no-ops for them; their mapping is released by the
-// graph's finalizer once the last user drops it.
-func (s *Store) evictLocked(id string) {
-	e, ok := s.cache[id]
-	if !ok {
-		return
-	}
-	delete(s.cache, id)
-	s.cacheBytes -= e.bytes
-	s.met.evictions.Inc()
-	s.met.resident.Set(float64(s.cacheBytes))
-	for i, cid := range s.order {
-		if cid == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
 }
 
 // ExportEdgeList writes the stored graph as SNAP edge-list text — the
@@ -562,20 +483,25 @@ func (s *Store) ExportEdgeList(id string, w io.Writer) error {
 	return g.WriteEdgeList(w)
 }
 
-// writeAtomic writes data to path via tmp file, fsync and rename, so
-// readers only ever observe complete files.
-func writeAtomic(fsys faultfs.FS, path string, data []byte) error {
+// writeAtomic streams write's output to path via a tmp file, fsync
+// and rename, so readers only ever observe complete files. Any failure
+// removes the tmp file.
+func writeAtomic(fsys faultfs.FS, path string, write func(io.Writer) error) (err error) {
 	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("dataset: writing %s: %w", path, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()            // already closed on a rename failure; the error is moot
+			_ = fsys.Remove(tmp) // best effort: err already reports the failed write
+		}
+	}()
+	if err := write(f); err != nil {
 		return fmt.Errorf("dataset: writing %s: %w", path, err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
 		return fmt.Errorf("dataset: syncing %s: %w", path, err)
 	}
 	if err := f.Close(); err != nil {

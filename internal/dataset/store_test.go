@@ -2,12 +2,14 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dpkron/internal/accountant"
 	"dpkron/internal/graph"
@@ -338,4 +340,144 @@ func TestStorePutHealsHalfDeletedDataset(t *testing.T) {
 	if err != nil || !g.Equal(back) {
 		t.Fatalf("healed dataset does not load: %v", err)
 	}
+}
+
+// writeLegacyDataset lays out g in dir as a store written before the
+// store wrote only v2 would hold it: a DPKG v1 graph file plus a
+// sidecar without a format field. It returns the dataset id.
+func writeLegacyDataset(t *testing.T, dir string, g *graph.Graph) string {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	id := accountant.DatasetID(g)
+	v1 := Marshal(g)
+	meta, err := json.Marshal(Meta{ID: id, Name: "legacy", Nodes: g.NumNodes(), Edges: g.NumEdges(),
+		Source: "snap", Imported: time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC), Bytes: int64(len(v1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(meta, []byte(`"format"`)) {
+		t.Fatalf("legacy sidecar carries a format field: %s", meta)
+	}
+	if err := os.WriteFile(filepath.Join(dir, id+graphExt), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, id+metaExt), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// TestStoreLegacyUpgrade: the first Load of a v1 file from an older
+// store returns the identical graph and rewrites the file in place as
+// v2, with the sidecar updated to match; a fresh handle then maps it.
+func TestStoreLegacyUpgrade(t *testing.T) {
+	g := sampleGraph(t, 23)
+	dir := filepath.Join(t.TempDir(), "store")
+	id := writeLegacyDataset(t, dir, g)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := s.FileInfo(id); err != nil || fi.Format != 1 || fi.Mmap {
+		t.Fatalf("FileInfo before the upgrade: %+v, %v; want v1, not mapped", fi, err)
+	}
+	got, err := s.Load(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Equal(got) {
+		t.Fatal("legacy load returned a different graph")
+	}
+	data, err := os.ReadFile(filepath.Join(dir, id+graphExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := Version(data); err != nil || v != 2 {
+		t.Fatalf("upgraded file sniffs as v%d (%v), want v2", v, err)
+	}
+	if !bytes.Equal(data, MarshalV2(g)) {
+		t.Error("upgraded file differs from the v2 encoding of the graph")
+	}
+	m, err := s.Meta(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Format != 2 || m.Bytes != int64(len(data)) {
+		t.Errorf("sidecar after the upgrade: format %d, bytes %d; want 2, %d", m.Format, m.Bytes, len(data))
+	}
+	if m.Name != "legacy" || m.Source != "snap" || m.Nodes != g.NumNodes() || m.Edges != g.NumEdges() {
+		t.Errorf("upgrade changed the sidecar's description: %+v", m)
+	}
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := fresh.Load(id)
+	if err != nil || !g.Equal(back) {
+		t.Fatalf("fresh handle load after the upgrade: %v", err)
+	}
+	fi, err := fresh.FileInfo(id)
+	if err != nil || fi.Format != 2 || fi.Mmap != mmapSupported {
+		t.Fatalf("FileInfo after the upgrade: %+v, %v", fi, err)
+	}
+	fresh.mu.Lock()
+	_, cached := fresh.cache[id]
+	fresh.mu.Unlock()
+	if cached != mmapSupported {
+		t.Errorf("fresh handle cached = %v, want %v (mapped)", cached, mmapSupported)
+	}
+}
+
+// TestStoreLegacyUpgradeConcurrent: concurrent first loads of one
+// legacy v1 file, through a shared handle and fresh ones, all return
+// the graph, and the file ends up as exactly one v2 rewrite of it.
+func TestStoreLegacyUpgradeConcurrent(t *testing.T) {
+	g := sampleGraph(t, 29)
+	dir := filepath.Join(t.TempDir(), "store")
+	id := writeLegacyDataset(t, dir, g)
+	shared, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := shared
+			if w%2 == 1 {
+				fresh, err := Open(dir)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				s = fresh
+			}
+			for i := 0; i < 3; i++ {
+				got, err := s.Load(id)
+				if err != nil {
+					t.Errorf("worker %d: load: %v", w, err)
+					return
+				}
+				if !g.Equal(got) {
+					t.Errorf("worker %d: loaded a different graph", w)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	data, err := os.ReadFile(filepath.Join(dir, id+graphExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, MarshalV2(g)) {
+		t.Error("file after concurrent upgrades is not the v2 encoding of the graph")
+	}
+	if m, err := shared.Meta(id); err != nil || m.Format != 2 || m.Bytes != int64(len(data)) {
+		t.Errorf("sidecar after concurrent upgrades: %+v, %v", m, err)
+	}
+	assertNoTmp(t, dir)
 }

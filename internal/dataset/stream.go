@@ -148,31 +148,11 @@ func (s *Store) putStream(src EdgeSource, name, source string, chunk int) (Meta,
 	}
 	defer low.Close()
 
-	tmp := s.graphPath(id) + ".tmp"
-	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return Meta{}, false, fmt.Errorf("dataset: writing %s: %w", tmp, err)
+	if err := writeAtomic(s.fs, s.graphPath(id), func(w io.Writer) error {
+		return writeV2Stream(w, n, m, off, nat, low)
+	}); err != nil {
+		return Meta{}, false, err
 	}
-	commit := false
-	defer func() {
-		if !commit {
-			f.Close()
-			s.fs.Remove(tmp)
-		}
-	}()
-	if err := writeV2Stream(f, n, m, off, nat, low); err != nil {
-		return Meta{}, false, fmt.Errorf("dataset: writing %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		return Meta{}, false, fmt.Errorf("dataset: syncing %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		return Meta{}, false, fmt.Errorf("dataset: closing %s: %w", tmp, err)
-	}
-	if err := s.fs.Rename(tmp, s.graphPath(id)); err != nil {
-		return Meta{}, false, fmt.Errorf("dataset: committing %s: %w", s.graphPath(id), err)
-	}
-	commit = true
 
 	_, fileSize := v2Layout(n, m)
 	meta := Meta{
@@ -183,7 +163,7 @@ func (s *Store) putStream(src EdgeSource, name, source string, chunk int) (Meta,
 		Source:   source,
 		Imported: time.Now().UTC().Truncate(time.Second),
 		Bytes:    fileSize,
-		Format:   2,
+		Format:   codecVersion2,
 	}
 	if err := s.writeMeta(meta); err != nil {
 		return Meta{}, false, err

@@ -1,6 +1,7 @@
 package dpkron_test
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -23,8 +24,8 @@ import (
 // that across every new path.
 
 // TestFingerprintV2Routes extends the PR 5 store pins to the v2
-// layout: PutFormat(v2) + mmap Load, and in-place Convert, all release
-// the identical historical fingerprints.
+// layout: Put + mmap Load, and the in-place upgrade of a legacy v1
+// file, all release the identical historical fingerprints.
 func TestFingerprintV2Routes(t *testing.T) {
 	g := fpGraphK10(t)
 	const (
@@ -41,12 +42,12 @@ func TestFingerprintV2Routes(t *testing.T) {
 	}
 	routes["v2-binary"] = fromV2
 
-	// Route 2: stored as v2 and loaded — an mmap-backed graph on unix.
+	// Route 2: stored (as v2) and loaded — an mmap-backed graph on unix.
 	store, err := dataset.Open(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, _, err := store.PutFormat(g, "fingerprint", "generated", 2)
+	meta, _, err := store.Put(g, "fingerprint", "generated")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,19 +60,29 @@ func TestFingerprintV2Routes(t *testing.T) {
 	}
 	routes["v2-mmap-load"] = fromMmap
 
-	// Route 3: converted back to v1 in place (same id) and reloaded.
-	if _, err := store.Convert(meta.ID, 1); err != nil {
+	// Route 3: the file replaced by its legacy v1 encoding, as an older
+	// store wrote it; a fresh handle decodes it and upgrades it in place.
+	// Remove before writing: rewriting the mapped inode in place would
+	// change route 2's graph under it.
+	path := filepath.Join(store.Dir(), meta.ID+".dpkg")
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, dataset.Marshal(g), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	store2, err := dataset.Open(store.Dir()) // fresh handle: defeat the cache
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromConverted, err := store2.Load(meta.ID)
+	fromUpgrade, err := store2.Load(meta.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes["v1-converted-load"] = fromConverted
+	routes["v1-legacy-upgrade"] = fromUpgrade
+	if fi, err := store2.FileInfo(meta.ID); err != nil || fi.Format != 2 {
+		t.Fatalf("legacy file after Load: %+v, %v; want format 2", fi, err)
+	}
 
 	for label, got := range routes {
 		if !g.Equal(got) {
